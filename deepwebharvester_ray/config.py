@@ -39,7 +39,10 @@ class CrawlSettings:
     robots_rules: Optional[Dict[str, str]] = None
 
     # ── engine knobs (no reference equivalent — Ray-scale parameters) ──────
-    seen_shards: int = 4            # seen-set actor shards; O(cores/4) on a cluster
+    # Seen-set actor shards per pool, O(cores/4) on a cluster.  Applies to
+    # the actor placement only (frontier_shards resolving to N > 0); the
+    # in-process placement keeps one in-process shard per seen-set.
+    seen_shards: int = 4
     seen_mode: str = "exact"        # "exact" | "cuckoo" (10^10-scale path)
     seen_capacity: int = 1 << 20    # cuckoo filter capacity PER SHARD — size
                                     # to expected_keys/shards or the filter
@@ -56,46 +59,33 @@ class CrawlSettings:
     # wallclock / crawl_delay").  When set, each seed's per-generation
     # pop budget becomes max(1, floor(gen_wallclock_s / crawl_delay)) —
     # robots Crawl-delay overrides the default per host — enforced AT
-    # POP TIME inside the frontier queue (per shard actor on the
-    # sharded path, zero driver involvement), so a slow-delay host is
+    # POP TIME inside the frontier queue (per shard actor in the actor
+    # placement, zero driver involvement), so a slow-delay host is
     # paced while fast hosts proceed.  min-combines with
     # max_fetch_per_gen.  None → uniform max_fetch_per_gen only.
     gen_wallclock_s: Optional[float] = None
-    # Control-plane replay sharding: None → sequential driver replay;
-    # N → seed-sharded Ray-actor claims chain (state/scheduler.py,
-    # bit-identical output — the cluster path).
-    replay_shards: Optional[int] = None
-    # Frontier sharding: N → ShardedFrontierQueue actor pool AND
-    # data-plane link expansion (links flow fetch-task → frontier shard
-    # as batches; the driver pulls only (url, content_hash) metadata per
-    # generation — the 10^10-frontier path, SURVEY §4); 0 → force the
-    # driver-local priority queue; None (default) → AUTO, the size-gated
-    # discipline used everywhere else in this repo: driver queue below
-    # FRONTIER_AUTO_SEEDS seeds (actor round-trips cost more than they
-    # save on a small run), sharded at or above it (the scale path must
-    # be the default where scale begins, not an opt-in).  Results are
-    # identical either way: staged pushes commit in canonical sorted
-    # order (equivalence pinned by test_crawl).
+    # Where the crawl's control state lives, resolved once per run
+    # (pipelines.crawl.frontier_shard_count) and pinned in the checkpoint
+    # manifest: N → the actor placement (ShardedFrontierQueue of N shards
+    # plus two SeenSetPools of seen_shards actors; every generation step
+    # runs as a Ray task, and links flow fetch block → frontier shard,
+    # never through the driver — the 10^10-frontier path, SURVEY §4);
+    # 0 → the in-process placement (FrontierQueue plus one in-process
+    # seen shard per set; the same steps called directly); None
+    # (default) → AUTO: in-process below FRONTIER_AUTO_SEEDS seeds
+    # (actor round-trips cost more than they save on a small run),
+    # actors at or above it.  Both placements run the same generation
+    # body, so results are identical (pinned by test_crawl).
     frontier_shards: Optional[int] = None
     extract_batch_size: int = 128   # pages per Arrow batch in the extract stage
-    # Fetch-membership broadcast cutoff: a generation whose scheduled
-    # fetch set exceeds this many URLs stops ray.put-ing ONE sorted
-    # hash array (every worker would deserialize the whole set) and
-    # instead co-partitions the hashes with the corpus's host_bucket
-    # layout — each per-bucket read gets only ITS bucket's hash ref,
-    # a partitioned semi-join on the partitioning key the corpus
-    # already has (per-worker memory O(fetch/buckets)).  None →
-    # pipelines.crawl.FETCH_BROADCAST_CUTOFF; 0 forces the bucketed
-    # path (tests).
-    fetch_broadcast_cutoff: Optional[int] = None
-    extract_concurrency: Optional[int] = None  # None → Ray decides (task pool)
-    # Fault injection (chaos tests only): path to a marker file.  The
-    # FIRST sharded replay task to find it absent creates it atomically
-    # and SIGKILLs its own worker process mid-generation — AFTER the
-    # seen/hash pool inserts, BEFORE its checkpoint delta writes — the
-    # nastiest window; Ray's task retry must heal the generation with
-    # no re-fetches and an unchanged trace (pinned in test_crawl).
-    # None (default) → no injection.
+    # Fault injection (chaos tests only; actor placement): path to a
+    # marker file.  The replay task SIGKILLs its own worker after
+    # computing its results and before its checkpoint delta writes, and
+    # the pool-commit task after its seen/hash inserts and before
+    # returning — each once per marker (``<marker>.replay`` /
+    # ``<marker>.commit``, created atomically).  Ray's task retries
+    # must heal the generation with no re-fetches and an unchanged
+    # trace (pinned in test_crawl).  None (default) → no injection.
     chaos_kill_marker: Optional[str] = None
 
 

@@ -431,6 +431,9 @@ def jpeg_encode(img: np.ndarray, subsampling: str = "444",
     return bytes(out)
 
 
+_UNDEFINED_TABLE = "jpeg: undefined quant/huffman table id"
+
+
 def jpeg_decode(blob: bytes) -> np.ndarray:
     """Decode baseline sequential JPEG bytes to a uint8 raster —
     (H, W) for 1 component, (H, W, 3) RGB for 3 (YCbCr assumed, JFIF).
@@ -501,6 +504,9 @@ def jpeg_decode(blob: bytes) -> np.ndarray:
                 cid, tabs = seg[1 + 2 * c:3 + 2 * c]
                 for k, comp in enumerate(comps):
                     if comp["id"] == cid:
+                        if (tabs >> 4 not in dc_dec
+                                or tabs & 15 not in ac_dec):
+                            raise ValueError(_UNDEFINED_TABLE)
                         comp["dc"] = dc_dec[tabs >> 4]
                         comp["ac"] = ac_dec[tabs & 15]
                         scan_order.append(k)
@@ -581,6 +587,8 @@ def jpeg_decode(blob: bytes) -> np.ndarray:
     planes: List[np.ndarray] = []
     for k, comp in enumerate(comps):
         sh, sv = comp["sh"], comp["sv"]
+        if comp["qid"] not in qtabs:
+            raise ValueError(_UNDEFINED_TABLE)
         q = qtabs[comp["qid"]]
         zz = np.array(blocks[k], dtype=np.int64).reshape(-1, 64)
         pix = _decode_component_blocks(zz, q)     # (n, 8, 8)

@@ -48,6 +48,12 @@ def merge_join(
     ``[key] + left_cols + right_cols`` (null-key rows dropped — they
     never match, the asof_join contract).  Exact multiplicity: a key
     with m left and n right rows emits m·n output rows."""
+    overlap = sorted((set(left_cols) & set(right_cols))
+                     | ({key} & set(left_cols + right_cols)))
+    if overlap:
+        # tag() would overwrite a shared name with the other side's nulls
+        raise ValueError(
+            f"merge_join: payload columns overlap between sides: {overlap}")
     l_schema = left_ds.schema()
     r_schema = right_ds.schema()
     l_types = {c: l_schema.base_schema.field(c).type for c in left_cols}

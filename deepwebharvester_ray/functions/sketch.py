@@ -12,6 +12,7 @@ Relative error ≈ 1.04/sqrt(2^p) (~1.6 % at p=12).
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -89,7 +90,7 @@ def hll_estimate(regs: np.ndarray) -> float:
     est = alpha * m * m * float(1 << _HLL_RHO_SCALE) / float(s_int)
     zeros = int(np.count_nonzero(regs == 0))
     if est <= 2.5 * m and zeros:
-        return m * np.log(m / zeros)  # linear counting, small range
+        return m * math.log(m / zeros)  # linear counting, small range
     return float(est)
 
 

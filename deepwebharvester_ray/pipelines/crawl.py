@@ -1,26 +1,32 @@
 """The generation-loop BFS crawl pipeline (SURVEY §7.2 M4).
 
-Data plane (Ray Data, fully parallel per generation):
+Every generation runs one body, :func:`_generation`, over the steps in
+pipelines/crawl_plane.py:
 
-    read_parquet(corpus buckets of the frontier's hosts)   ← pruned read
-      → map_batches(fetch_extract_task pool)               ← url∈frontier filter + HTML extract
-      → write_parquet(run_dir/results/gen=K)               ← accepted pages (+ optional intel)
+    pop → prep (mark filter + blacklist/robots, per frontier shard)
+      → fetch+extract: read_parquet(corpus buckets of the fetch hosts)
+                         → map_batches(fetch_extract_task)   ← url∈fetch-set filter + HTML extract
+      → meta → replay (state.scheduler, reference control flow)
+      → commit (seen-set inserts)
+      → results write: map_batches(_finalize_accepted) → write_parquet(run_dir/results/gen=K)
+      → link expansion (staged onto the frontier, committed canonically)
+      → checkpoint (seen-set deltas, frontier snapshot, lineage manifest)
 
-Control plane (driver + actors, cheap metadata only):
+Where the control state lives — in this process, or on Ray actors with
+every step a Ray task — is chosen once per run from the frontier shard
+count (:func:`frontier_shard_count`) and pinned in the checkpoint
+manifest; the generation body does not branch on it, and both placements
+produce identical results, counters and lineage digests.
 
-    frontier candidates → seen-set pool contains() →
-    sequential replay of the reference control flow (state.scheduler) →
-    marks/hashes insert() → next-generation frontier
-
-"Fetch" is a partition-pruned lookup join of the scheduled frontier
-against the page corpus (SURVEY §2.4 J3): the frontier's sorted hash
-array is broadcast once per generation via ``ray.put`` and deserialized
-once per worker — never re-shipped per batch.  A URL absent from the
-corpus is a fetch failure and is charged the reference's full
-retry/backoff cost in virtual time (crawler.py:123-153).
+"Fetch" is a partition-pruned lookup join of the scheduled fetch set
+against the page corpus (SURVEY §2.4 J3): the set's sorted url-hash array
+is broadcast once per generation via ``ray.put`` and deserialized once
+per worker — never re-shipped per batch.  A URL absent from the corpus is
+a fetch failure and is charged the reference's full retry/backoff cost
+in virtual time (crawler.py:123-153).
 
 Checkpoint/resume (SURVEY §7.2 M7): every generation writes results +
-next frontier + seen-set snapshots + scheduler state + a lineage manifest
+seen-set deltas + next frontier + scheduler state + a lineage manifest
 entry; ``resume=True`` restores the newest complete generation and
 continues without re-fetching any URL.
 """
@@ -33,7 +39,7 @@ import shutil
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -43,64 +49,47 @@ from ..config import CrawlSettings
 from ..corpus import host_bucket_of
 from ..extract import extract_batch
 from ..intelligence import intelligence_batch
-from ..state.scheduler import (
-    Candidate,
-    ReplayResult,
-    SeedState,
-    replay_generation,
-    replay_generation_sharded,
-)
-from ..state.pqueue import FrontierQueue, ShardedFrontierQueue
 from ..state.robots import RobotsTable
-from ..state.seen import SeenSetPool
-from ..urlops import (
-    get_host,
-    is_blacklisted,
-    is_valid_onion_url,
-    normalize_blacklist,
+from ..state.scheduler import SeedState
+from ..state.scheduler import replay_generation  # noqa: F401  (public name)
+from ..urlops import get_host, is_valid_onion_url, normalize_blacklist
+from .crawl_plane import (
+    SCANNER_CAP,
+    InProcess,
+    OnActors,
+    _build_accept_arrays,
+    _build_meta,
+    _commit,
+    _expand,
+    _fetch_hashes,
+    _prep,
+    _replay,
+    _restore_delta,
 )
 
 logger = logging.getLogger(__name__)
 
-# AUTO frontier-sharding cutoff: below this many valid seeds the driver
-# queue wins (actor round-trips cost more than they save; measured in
-# BASELINE.md's 10k-seed frontier stress), at or above it link expansion
-# must stay in the data plane (frontier_shards=None picks per this)
+# The checkpoint manifest's layout version.  Layout 2: one body for both
+# placements, single-file seen-set deltas, ``frontier_shards_resolved``
+# always recorded.  Older manifests are refused on resume.
+MANIFEST_LAYOUT = 2
+
+# AUTO placement cutoff: below this many valid seeds the in-process
+# placement wins (actor round-trips cost more than they save; measured in
+# BASELINE.md's 10k-seed frontier stress), at or above it control state
+# moves onto actors (frontier_shards=None picks per this)
 FRONTIER_AUTO_SEEDS = 5_000
 
 
 def frontier_shard_count(cfg: CrawlSettings, n_valid_seeds: int) -> int:
     """Resolve ``cfg.frontier_shards`` to a shard count: explicit N → N,
-    explicit 0 → driver queue, None → AUTO (shard once the seed list is
-    big enough that link expansion shouldn't transit the driver — the
-    scale path is the default where scale begins, not an opt-in)."""
+    explicit 0 → in-process placement, None → AUTO (actors once the seed
+    list is big enough that link expansion shouldn't transit the driver —
+    the scale path is the default where scale begins, not an opt-in)."""
     if cfg.frontier_shards is None:
         return (max(4, cfg.seen_shards)
                 if n_valid_seeds >= FRONTIER_AUTO_SEEDS else 0)
     return cfg.frontier_shards
-
-
-def _mark_key(seed_id: int, url: str) -> str:
-    return f"{seed_id}|{url}"
-
-
-def _write_delta(path: str, keys: List[str]) -> None:
-    pq.write_table(pa.table({"key": pa.array(sorted(keys), pa.string())}), path)
-
-
-def _read_delta(path: str) -> List[str]:
-    """Read a seen-set checkpoint delta: either a single file (driver
-    path) or per-replay-shard files ``<path>.shard<k>`` (data-plane
-    path writes them from the replay tasks)."""
-    import glob as _glob
-
-    files = sorted(_glob.glob(path + ".shard*"))
-    if not files:
-        files = [path] if Path(path).exists() else []
-    keys: List[str] = []
-    for f in files:
-        keys.extend(pq.read_table(f).column("key").to_pylist())
-    return keys
 
 
 # The frontier is broadcast as a SORTED uint64 array of url_hash64 values
@@ -134,57 +123,8 @@ def broadcast_frontier_hashes(urls) -> "object":
 # (the VERIFY_BROADCAST_CUTOFF idiom, functions/dedup.py).  Per-worker
 # memory drops to O(fetch / N_BUCKETS); results are identical (same
 # searchsorted membership, just against the only hashes that can match
-# the bucket's rows).
+# the bucket's rows).  The fetch path's only size gate.
 FETCH_BROADCAST_CUTOFF = 2_000_000
-
-
-def _fetch_cutoff(cfg: CrawlSettings) -> int:
-    return (FETCH_BROADCAST_CUTOFF if cfg.fetch_broadcast_cutoff is None
-            else cfg.fetch_broadcast_cutoff)
-
-
-def _fetch_extract_bucketed(
-    corpus_dir: str,
-    bucket_refs: Dict[int, "object"],
-    cfg: CrawlSettings,
-    bucket_filter_urls: Optional[Dict[int, List[str]]] = None,
-):
-    """Per-host-bucket fetch+extract: one pruned read per bucket, each
-    carrying only ITS bucket's sorted-hash ref (``bucket_refs``), the
-    per-bucket datasets unioned into one.  ``bucket_filter_urls``
-    optionally pushes the bucket's URL list into the Arrow scanner
-    (same ≤100k cap semantics as the single-broadcast path).  Returns
-    the materialized fetched dataset, or None when no bucket has
-    corpus files."""
-    import pyarrow.compute as _pc
-    import ray
-
-    parts = []
-    for b, ref in sorted(bucket_refs.items()):
-        root = Path(corpus_dir) / f"host_bucket={b}"
-        if not root.exists():
-            continue
-        paths = sorted(str(f) for f in root.rglob("*.parquet"))
-        if not paths:
-            continue
-        read_kwargs = {}
-        if bucket_filter_urls is not None and b in bucket_filter_urls:
-            read_kwargs["filter"] = _pc.field("url").isin(
-                bucket_filter_urls[b])
-        ds_b = ray.data.read_parquet(
-            paths, columns=["url", "html"], **read_kwargs
-        ).map_batches(
-            fetch_extract_task,
-            fn_kwargs={"hashes_ref": ref},
-            batch_format="pyarrow",
-            batch_size=cfg.extract_batch_size,
-            runtime_env=runtime_env(),
-        )
-        parts.append(ds_b)
-    if not parts:
-        return None
-    ds = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
-    return ds.materialize()
 
 
 def fetch_extract_task(
@@ -244,97 +184,6 @@ def _finalize_accepted(batch: pa.Table, acc_ref=None) -> pa.Table:
     kept = kept.append_column("depth", pa.array(depths[sel], pa.int32()))
     kept = kept.append_column("seed_id", pa.array(sids[sel], pa.int32()))
     return kept
-
-
-def _push_links_csr(fetched_ds, ref, frontier) -> int:
-    """Stage link expansion onto the frontier shards from a prebuilt CSR
-    broadcast ``ref`` — see :func:`_push_links_dataplane` (which builds
-    the CSR driver-side for the legacy call shape; the data-plane
-    control path builds it in a task from propagate-table refs)."""
-    import ray
-
-    handles = frontier.shard_handles
-    n_sh = frontier.n_shards
-
-    def expand_task(batch: pa.Table, _ref=ref, _handles=handles,
-                    _n=n_sh) -> pa.Table:
-        import numpy as np
-        import ray as _ray
-
-        from ..broadcast import cached_get
-        from ..urlops import batch_url_hash64 as _bh
-
-        h_s, starts, counts, sids, deps = cached_get(_ref)
-        bh = _bh(batch.column("url").to_pylist())
-        idx = np.searchsorted(h_s, bh)
-        idx[idx >= len(h_s)] = max(len(h_s) - 1, 0)
-        mask = (h_s[idx] == bh) if len(h_s) else np.zeros(len(bh), bool)
-        n_links = 0
-        if mask.any():
-            hit = batch.filter(pa.array(mask))
-            hit_idx = idx[mask]
-            routed: Dict[int, list] = {}
-            for row, links in enumerate(hit.column("links").to_pylist()):
-                s0 = int(starts[hit_idx[row]])
-                for k in range(int(counts[hit_idx[row]])):
-                    sid = int(sids[s0 + k])
-                    nd = int(deps[s0 + k])
-                    lst = routed.setdefault(sid % _n, [])
-                    for link in links:
-                        lst.append((sid, nd, link))
-                n_links += len(links) * int(counts[hit_idx[row]])
-            _ray.get(
-                [_handles[s].stage.remote(es) for s, es in routed.items()]
-            )
-        return pa.table({"n_links": pa.array([n_links], pa.int64())})
-
-    counts_ds = (
-        fetched_ds.select_columns(["url", "links"])
-        .map_batches(
-            expand_task, batch_format="pyarrow", runtime_env=runtime_env()
-        )
-        .materialize()  # barrier: every stage() RPC has been ray.get-ed
-    )
-    total = sum(r["n_links"] for r in counts_ds.take_all())
-    frontier.commit_staged()
-    return total
-
-
-def _push_links_dataplane(fetched_ds, expand, frontier) -> int:
-    """Expand propagated pages' links INSIDE the data plane (SURVEY §4:
-    "frontier kept columnar, never a Python set" — the 10^10-frontier
-    path).
-
-    ``expand`` is [(url, seed_id, next_depth)] for this generation's
-    propagated pages.  It is broadcast as CSR arrays keyed by sorted url
-    hash; each fetch block finds its propagated rows with one vectorized
-    searchsorted, builds (seed_id, depth, link) entries, and ``stage()``s
-    them straight onto the owning frontier shard — link bytes flow
-    worker→shard, never through the driver, which sees only per-block
-    counts.  ``commit_staged()`` then applies every shard's staged
-    entries in canonical sorted order (deterministic regardless of task
-    interleaving — see ShardedFrontierQueue docstring)."""
-    import numpy as np
-    import ray
-
-    from ..urlops import batch_url_hash64
-
-    by_url: Dict[str, List[Tuple[int, int]]] = {}
-    for u, sid, nd in expand:
-        by_url.setdefault(u, []).append((sid, nd))
-    urls = list(by_url)
-    h = batch_url_hash64(urls)
-    order = np.argsort(h)
-    counts = np.array([len(by_url[urls[i]]) for i in order], np.int64)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    sids = np.array(
-        [s for i in order for s, _ in by_url[urls[i]]], np.int64
-    )
-    deps = np.array(
-        [d for i in order for _, d in by_url[urls[i]]], np.int64
-    )
-    ref = ray.put((h[order], starts, counts, sids, deps))
-    return _push_links_csr(fetched_ds, ref, frontier)
 
 
 @dataclass
@@ -404,9 +253,8 @@ def _config_digest(cfg: CrawlSettings, seeds: Sequence[str]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _corpus_paths_for_hosts(corpus_dir: str, hosts: Set[str]) -> List[str]:
-    """Partition pruning: only the buckets holding the frontier's hosts."""
-    buckets = sorted({host_bucket_of(h) for h in hosts})
+def _bucket_paths(corpus_dir: str, buckets) -> List[str]:
+    """Partition pruning: the corpus files of the given host buckets."""
     paths: List[str] = []
     for b in buckets:
         p = Path(corpus_dir) / f"host_bucket={b}"
@@ -415,9 +263,53 @@ def _corpus_paths_for_hosts(corpus_dir: str, hosts: Set[str]) -> List[str]:
     return paths
 
 
+def _fetch_extract(corpus_dir: str, cfg: CrawlSettings, pl, info: dict,
+                   hash_parts: list):
+    """Fetch + extract the generation's fetch set.
+
+    One pruned read per group of host buckets, each filtered by its
+    group's sorted url-hash array in ``fetch_extract_task``: a single
+    group (one broadcast) up to :data:`FETCH_BROADCAST_CUTOFF` fetch URLs,
+    one group per bucket above it.  Below the scanner-filter cap the URL
+    list is also pushed into the Arrow scanner, so non-fetch rows are
+    dropped before their html bytes reach the object store.  Returns
+    ``(materialized dataset or None, fetch digest)``."""
+    import pyarrow.compute as pc
+    import ray
+
+    buckets = sorted({host_bucket_of(h) for h in info["hosts"]})
+    groups = ([[b] for b in buckets]
+              if info["n_fetch"] > FETCH_BROADCAST_CUTOFF else [buckets])
+    digest, *arrays = pl.run(_fetch_hashes, groups, *hash_parts,
+                             num_returns=1 + len(groups))
+    small = info["fetch_urls_small"]
+    parts = []
+    for group, arr in zip(groups, arrays):
+        paths = _bucket_paths(corpus_dir, group)
+        if not paths:
+            continue
+        read_kwargs = {}
+        if small is not None:
+            urls = small if len(groups) == 1 else [
+                u for u in small if host_bucket_of(get_host(u)) in group]
+            read_kwargs["filter"] = pc.field("url").isin(urls)
+        parts.append(ray.data.read_parquet(
+            paths, columns=["url", "html"], **read_kwargs
+        ).map_batches(
+            fetch_extract_task,
+            fn_kwargs={"hashes_ref": pl.ref(arr)},
+            batch_format="pyarrow",
+            batch_size=cfg.extract_batch_size,
+            runtime_env=runtime_env(),
+        ))
+    if not parts:
+        return None, digest
+    ds = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
+    return ds.materialize(), digest
+
+
 def _checkpoint_generation(
     frontier,
-    use_sharded: bool,
     state_root: Path,
     manifest: dict,
     manifest_path: Path,
@@ -430,8 +322,7 @@ def _checkpoint_generation(
     """Per-generation checkpoint: frontier snapshot (per-shard files on
     the sharded queue — frontier bytes never transit the driver) + the
     O(1)-per-generation lineage manifest entry, atomically renamed.
-    Seen-set deltas are written separately by whichever path ran the
-    replay (driver loop or the data-plane replay tasks)."""
+    The replay step has already written the seen-set deltas."""
     frontier.snapshot_parquet(str(state_root / f"frontier_gen{gen}.parquet"))
     manifest["generations"] = [
         g for g in manifest["generations"] if g["generation"] < gen
@@ -440,15 +331,12 @@ def _checkpoint_generation(
         {
             "generation": gen,
             "complete": True,
-            # lineage: exactly which URLs this generation's partition
-            # was built from (digest of the scheduled fetch set)
+            # lineage: digest of the generation's fetch-hash set
             "fetch_digest": fetch_digest,
             "counts": gm.as_dict(),
             "seed_states": {str(k): v.as_dict() for k, v in states.items()},
             "frontier_size": len(frontier),
-            "frontier_dropped": (
-                frontier.dropped() if use_sharded else frontier.dropped
-            ),
+            "frontier_dropped": frontier.dropped,
         }
     )
     manifest["metrics"] = [m.as_dict() for m in metrics]
@@ -457,241 +345,95 @@ def _checkpoint_generation(
     tmp.rename(manifest_path)
 
 
-def _generation_dataplane(
+def _generation(
     corpus_dir: str,
     cfg: CrawlSettings,
-    frontier,
-    marks_pool: SeenSetPool,
-    hash_pool: SeenSetPool,
+    pl,
     states: Dict[int, SeedState],
     seed_delays: Dict[int, float],
     blacklist,
     robots: RobotsTable,
-    gm: GenerationMetrics,
+    gm: "GenerationMetrics",
     gen: int,
     results_root: Path,
     state_root: Path,
     with_intel: bool,
     on_page_crawled,
-    track_fetched_urls: bool,
-    fetched_urls_per_gen: List[Set[str]],
-    purged_pre: int,
-    pop_budget=None,
-) -> str:
-    """One generation on the sharded (data-plane control) path.
-
-    The driver materializes only counters, per-seed states, and the
-    bounded pruning info (distinct hosts; the fetch URL list only below
-    the scanner-filter cap) — popped entries, mark keys, fetched
-    metadata, replay candidates, accepted/propagate rows and checkpoint
-    delta keys all flow between tasks and shard actors as ObjectRefs
-    (see pipelines/crawl_plane.py).  Returns the fetch-set digest for
-    the lineage manifest.  Decision semantics are bit-identical to the
-    driver path (same ``replay_generation`` core in the tasks, same
-    canonical order; pinned by test_crawl's sharded-vs-driver and
-    oracle conformance tests)."""
-    import glob as _glob
-
-    import numpy as np
-    import ray
-
-    from .crawl_plane import _remote_tasks
-
-    tasks = _remote_tasks()
-
+    fetched_urls_per_gen: Optional[List[Set[str]]],
+    pop_budget,
+) -> "object":
+    """One generation on placement *pl* (``crawl_plane.InProcess`` or
+    ``crawl_plane.OnActors``).  Fills *gm*, updates *states* and the
+    frontier, writes the results partition and the seen-set deltas, and
+    returns the fetch digest (an ObjectRef on the actor placement)."""
     inactive = frozenset(
         sid for sid, st in states.items()
         if st.exhausted or st.pages >= cfg.max_pages
     )
-    # replay seed ranges first: prep tasks split candidates by range
-    n_replay = max(1, cfg.replay_shards or 1)
-    seed_ids = sorted(states)
-    chunk = ((len(seed_ids) + n_replay - 1) // n_replay
-             if seed_ids else 1)
-    ranges = [frozenset(seed_ids[i * chunk:(i + 1) * chunk])
-              for i in range(n_replay)]
-
-    # one parallel prep task PER FRONTIER SHARD (a single
-    # whole-generation prep would itself be the bottleneck at scale)
-    pop_refs = frontier.pop_budget_refs(pop_budget)
-    info_refs, shard_hash_refs = [], []
-    range_refs: List[list] = [[] for _ in range(n_replay)]
-    for pref in pop_refs:
-        outs = tasks["prep"].options(num_returns=2 + n_replay).remote(
-            blacklist, robots, inactive, marks_pool.shard_handles,
-            100_000, ranges, pref)
-        info_refs.append(outs[0])
-        shard_hash_refs.append(outs[1])
-        for k in range(n_replay):
-            range_refs[k].append(outs[2 + k])
-
-    import hashlib as _hl
-
-    info_list = ray.get(info_refs)
-    gm.already = sum(i["already"] for i in info_list)
-    gm.candidates = sum(i["n_candidates"] for i in info_list)
-    small_lists = [i["fetch_urls_small"] for i in info_list]
-    union_small = (sorted({u for lst in small_lists for u in lst})
-                   if all(x is not None for x in small_lists)
-                   else None)
+    # one prep per frontier shard (a single whole-generation prep would
+    # itself be the bottleneck at scale)
+    preps = [pl.run(_prep, blacklist, robots, inactive, pl.marks, part,
+                    num_returns=3)
+             for part in pl.pop(pop_budget)]
+    infos = pl.get([p[0] for p in preps])
+    smalls = [i["fetch_urls_small"] for i in infos]
+    small = (None if None in smalls
+             else sorted({u for lst in smalls for u in lst}))
     info = {
-        "n_fetch": sum(i["n_fetch"] for i in info_list),
-        "aband_pre": sum(i["aband_pre"] for i in info_list),
-        "hosts": sorted({h for i in info_list for h in i["hosts"]}),
-        # generation digest = digest of per-shard fetch-set digests
-        # (shard order) — lineage identity without a global URL gather
-        "fetch_digest": _hl.sha256(
-            "".join(i["fetch_digest"] for i in info_list).encode()
-        ).hexdigest()[:16],
+        "n_fetch": sum(i["n_fetch"] for i in infos),
+        "hosts": sorted({h for i in infos for h in i["hosts"]}),
         "fetch_urls_small": (
-            union_small
-            if union_small is not None and len(union_small) <= 100_000
+            small if small is not None and len(small) <= SCANNER_CAP
             else None),
     }
+    gm.already = sum(i["already"] for i in infos)
+    gm.candidates = sum(i["n_candidates"] for i in infos)
 
     gen_results_dir = results_root / f"gen={gen}"
     if gen_results_dir.exists():
         shutil.rmtree(gen_results_dir)  # idempotent partition overwrite
+    fetched_ds, digest = _fetch_extract(
+        corpus_dir, cfg, pl, info, [p[1] for p in preps])
+    blocks = fetched_ds.to_arrow_refs() if fetched_ds is not None else []
+    meta, n_fetched, urls = pl.run(_build_meta, *blocks, num_returns=3)
+    gm.fetched = pl.get(n_fetched)
+    if fetched_urls_per_gen is not None:
+        # O(total pages) driver memory — conformance/test aid only
+        fetched_urls_per_gen.append(set(pl.get(urls)))
 
-    fetched_ds = None
-    if info["n_fetch"] and info["n_fetch"] > _fetch_cutoff(cfg):
-        # size-gated bucketed membership (FETCH_BROADCAST_CUTOFF): the
-        # per-shard (hash, bucket) pairs split into per-host-bucket
-        # sorted arrays IN A TASK, each bucket's pruned read carrying
-        # only its own ref — per-worker memory O(fetch / buckets)
-        buckets = sorted({host_bucket_of(h) for h in info["hosts"]})
-        if buckets:
-            refs = tasks["splith"].options(
-                num_returns=len(buckets)).remote(
-                buckets, *shard_hash_refs)
-            if len(buckets) == 1:
-                refs = [refs]
-            filt = None
-            if info["fetch_urls_small"] is not None:
-                filt = {}
-                for u in info["fetch_urls_small"]:
-                    filt.setdefault(
-                        host_bucket_of(get_host(u)), []).append(u)
-            fetched_ds = _fetch_extract_bucketed(
-                corpus_dir, dict(zip(buckets, refs)), cfg,
-                bucket_filter_urls=filt)
-    elif info["n_fetch"]:
-        hashes_ref = tasks["mergeh"].remote(*shard_hash_refs)
-        paths = _corpus_paths_for_hosts(corpus_dir, set(info["hosts"]))
-        if paths:
-            import pyarrow.compute as _pc
-
-            read_kwargs = {}
-            if info["fetch_urls_small"] is not None:
-                read_kwargs["filter"] = _pc.field("url").isin(
-                    info["fetch_urls_small"])
-            ds = ray.data.read_parquet(
-                paths, columns=["url", "html"], **read_kwargs
-            )
-            fetched_ds = ds.map_batches(
-                fetch_extract_task,
-                fn_kwargs={"hashes_ref": hashes_ref},
-                batch_format="pyarrow",
-                batch_size=cfg.extract_batch_size,
-                runtime_env=runtime_env(),
-            ).materialize()
-
-    if fetched_ds is not None:
-        meta_blocks = fetched_ds.select_columns(
-            ["url", "content_hash"]).to_arrow_refs()
-        meta_ref, n_fetched_ref, urls_ref = tasks["meta"].remote(
-            *meta_blocks)
-        gm.fetched = ray.get(n_fetched_ref)
-    else:
-        meta_ref = ray.put((np.empty(0, np.uint64), np.empty(0, object)))
-        urls_ref = None
-        gm.fetched = 0
-    if track_fetched_urls:
-        # O(total pages) driver memory — conformance/test aid only,
-        # gated on the flag (never on the production path)
-        fetched_urls_per_gen.append(
-            set(ray.get(urls_ref)) if urls_ref is not None else set())
-
-    # replay claims chain over the contiguous seed ranges (chain order
-    # == canonical order; each link starts when its predecessor's
-    # claims arrive — state/scheduler.py's sharded-replay discipline,
-    # as tasks; each link's candidates arrive pre-split per frontier
-    # shard from the prep tasks)
-    for stale in _glob.glob(
-            str(state_root / f"*_delta_gen{gen}.parquet.shard*")):
-        Path(stale).unlink()  # a longer previous run's shards
-    claims_ref = ray.put(set())
-    counter_futs, state_futs, acc_refs, prop_refs = [], [], [], []
-    commit_key_refs: list = []
-    for k, sids_k in enumerate(ranges):
-        sub_states = {sid: states[sid] for sid in sids_k}
-        sub_delays = {
-            sid: seed_delays[sid] for sid in sids_k
-            if sid in seed_delays
-        } or None
-        (c_ref, st_ref, a_ref, p_ref, claims_ref,
-         mk_ref, nh_ref) = tasks["replay"].remote(
-            meta_ref, claims_ref, sub_states, cfg, sub_delays,
-            hash_pool.shard_handles, marks_pool.shard_handles,
-            str(state_root / f"marks_delta_gen{gen}.parquet.shard{k}"),
-            str(state_root / f"hashes_delta_gen{gen}.parquet.shard{k}"),
-            *range_refs[k],
-        )
-        counter_futs.append(c_ref)
-        state_futs.append(st_ref)
-        acc_refs.append(a_ref)
-        prop_refs.append(p_ref)
-        commit_key_refs.append((mk_ref, nh_ref))
-    # pool commits launch only now, each gated on the chain's FINAL
-    # claims_ref (an ordering-only argument): Ray cannot schedule any
-    # commit until every replay link has returned, so no
-    # same-generation pool_contains read can observe the inserts — the
-    # invariant _commit_shard's retry-safety argument documents, made
-    # structural.  A killed-and-retried commit stays idempotent.
-    commit_futs = [
-        tasks["commit"].remote(
-            cfg, marks_pool.shard_handles, hash_pool.shard_handles,
-            mk_ref, nh_ref, claims_ref)
-        for mk_ref, nh_ref in commit_key_refs
-    ]
-
-    agg: Dict[str, int] = {}
-    for c in ray.get(counter_futs):
-        for key, v in c.items():
-            agg[key] = agg.get(key, 0) + v
-    ray.get(commit_futs)  # pools updated before the next generation reads
-    for st_map in ray.get(state_futs):
-        states.update(st_map)
-    gm.success = agg.get("success", 0)
-    gm.failed = agg.get("failed", 0)
-    gm.dup = agg.get("dup", 0)
-    gm.robots_blocked = agg.get("robots_blocked", 0)
-    gm.blacklisted = agg.get("blacklisted", 0) - gm.robots_blocked
-    gm.abandoned = (agg.get("abandoned", 0) + info["aband_pre"]
-                    + purged_pre)
+    counters, new_states, accepted, propagate, mark_keys, new_hashes = pl.run(
+        _replay, meta, states, cfg, seed_delays, pl.hashes,
+        str(state_root / f"marks_delta_gen{gen}.parquet"),
+        str(state_root / f"hashes_delta_gen{gen}.parquet"),
+        *[p[2] for p in preps], num_returns=6)
+    committed = pl.run(_commit, cfg, pl.marks, pl.hashes, mark_keys,
+                       new_hashes)
+    counters, new_states, _ = pl.get([counters, new_states, committed])
+    states.update(new_states)
+    gm.success = counters.get("success", 0)
+    gm.failed = counters.get("failed", 0)
+    gm.dup = counters.get("dup", 0)
+    gm.robots_blocked = counters.get("robots_blocked", 0)
+    gm.blacklisted = counters.get("blacklisted", 0) - gm.robots_blocked
+    gm.abandoned += (counters.get("abandoned", 0)
+                     + sum(i["aband_pre"] for i in infos))
 
     if on_page_crawled is not None:
         # per-record callback contract (reference crawler.py:96): a
         # documented driver pull, gated on the hook being installed
-        rows = []
-        for t in ray.get(acc_refs):
-            rows.extend(zip(
-                t.column("sid").to_pylist(),
-                t.column("url").to_pylist(),
+        t = pl.get(accepted)
+        for sid, u, d, h in sorted(zip(
+                t.column("sid").to_pylist(), t.column("url").to_pylist(),
                 t.column("depth").to_pylist(),
-                t.column("content_hash").to_pylist(),
-            ))
-        for sid, u, d, h in sorted(rows):
-            on_page_crawled({
-                "url": u, "seed_id": sid, "depth": d,
-                "content_hash": h,
-            })
+                t.column("content_hash").to_pylist())):
+            on_page_crawled({"url": u, "seed_id": sid, "depth": d,
+                             "content_hash": h})
 
-    if gm.success and fetched_ds is not None:
-        acc_arrays_ref = tasks["accept"].remote(*acc_refs)
+    if gm.success:
         out_ds = fetched_ds.map_batches(
             _finalize_accepted,
-            fn_kwargs={"acc_ref": acc_arrays_ref},
+            fn_kwargs={"acc_ref": pl.ref(pl.run(_build_accept_arrays,
+                                                accepted))},
             batch_format="pyarrow",
             batch_size=cfg.extract_batch_size,
             runtime_env=runtime_env(),
@@ -705,11 +447,10 @@ def _generation_dataplane(
             )
         out_ds.write_parquet(str(gen_results_dir))
 
-    csr_ref, n_exp_ref = tasks["expand"].remote(
-        cfg.max_depth, *prop_refs)
-    if ray.get(n_exp_ref) and fetched_ds is not None:
-        _push_links_csr(fetched_ds, csr_ref, frontier)
-    return info["fetch_digest"]
+    if pl.get(pl.run(_expand, cfg.max_depth, propagate, pl.frontier_shards,
+                     *blocks)):
+        pl.frontier.commit_staged()
+    return digest
 
 
 def run_crawl(
@@ -732,7 +473,7 @@ def run_crawl(
     (seed_id, url) order within each generation.  Driver-side and
     metadata-only — the page body stays in the data plane.
     """
-    import ray
+    from ..corpus import corpus_digest
 
     cfg = cfg or CrawlSettings()
     run_dir = run_dir or f"/tmp/dwh_run_{int(time.time() * 1e6)}"
@@ -761,90 +502,54 @@ def run_crawl(
         sid: robots.crawl_delay_for(get_host(u), cfg.crawl_delay)
         for sid, u in enumerate(valid_seeds)
     }
-    marks_pool = SeenSetPool(cfg.seen_shards, cfg.seen_mode, cfg.seen_capacity)
-    hash_pool = SeenSetPool(cfg.seen_shards, cfg.seen_mode, cfg.seen_capacity)
     states: Dict[int, SeedState] = {
         sid: SeedState(seed_id=sid, seed_url=u) for sid, u in enumerate(valid_seeds)
     }
     metrics: List[GenerationMetrics] = []
-    fetched_urls_per_gen: List[Set[str]] = []
 
     manifest_path = run_path / "manifest.json"
-    start_gen = 0
+    manifest = None
     n_shards = frontier_shard_count(cfg, len(valid_seeds))
     if resume and manifest_path.exists():
-        # a checkpoint's queue LAYOUT is part of its state: prefer the
-        # shard count the manifest recorded; for pre-recording manifests
-        # infer it from the last snapshot's file layout — otherwise a
-        # later change to the AUTO cutoff/formula (or this release's
-        # introduction of AUTO itself) would make an old driver-queue
-        # checkpoint unresumable (restore_parquet refuses on a shard-
-        # count mismatch by design)
-        _peek = json.loads(manifest_path.read_text())
-        if "frontier_shards_resolved" in _peek:
-            n_shards = int(_peek["frontier_shards_resolved"])
-        else:
-            _done = [g for g in _peek.get("generations", [])
-                     if g.get("complete")]
-            if _done:
-                import glob as _glob
-
-                _snap = str(run_path / "state" /
-                            f"frontier_gen{_done[-1]['generation']}.parquet")
-                _shard_files = _glob.glob(_snap + ".shard*")
-                n_shards = len(_shard_files)
-    use_sharded = bool(n_shards)
-    if use_sharded:
-        frontier = ShardedFrontierQueue(
-            n_shards, max_per_seed=cfg.frontier_max_per_seed
-        )
-    else:
-        frontier = FrontierQueue(max_per_seed=cfg.frontier_max_per_seed)
-    frontier.push([(sid, 0, u) for sid, u in enumerate(valid_seeds)])
-
-    if resume and manifest_path.exists():
-        from ..corpus import corpus_digest as _cdigest
-
         manifest = json.loads(manifest_path.read_text())
-        # upgrade pre-recording manifests with the layout resolved above
-        manifest["frontier_shards_resolved"] = n_shards
+        layout = manifest.get("layout", 1)
+        if layout != MANIFEST_LAYOUT:
+            raise ValueError(
+                f"checkpoint manifest layout {layout} cannot be resumed: "
+                f"this engine resumes layout {MANIFEST_LAYOUT} only; start "
+                "a fresh run")
         if manifest.get("config_digest") != digest:
             raise ValueError("resume config/seeds mismatch with checkpoint manifest")
-        if manifest.get("corpus_digest") and manifest["corpus_digest"] != _cdigest(corpus_dir):
+        if manifest["corpus_digest"] != corpus_digest(corpus_dir):
             raise ValueError(
                 "resume corpus mismatch: checkpoint was built from a "
                 "different corpus than the one supplied"
             )
+        # a checkpoint's control-state placement is part of its state:
+        # resume rebuilds the recorded one even if the AUTO gate moved
+        n_shards = int(manifest["frontier_shards_resolved"])
+
+    pl = OnActors(cfg, n_shards) if n_shards else InProcess(cfg)
+    frontier = pl.frontier
+    frontier.push([(sid, 0, u) for sid, u in enumerate(valid_seeds)])
+
+    start_gen = 0
+    if manifest is not None:
         complete = [g for g in manifest["generations"] if g.get("complete")]
         if complete:
             last = complete[-1]
             start_gen = last["generation"] + 1
-            # replay per-generation seen-set deltas 0..last.  Sharded
-            # path: one restore TASK per (kind, generation) reads its
-            # delta file(s) and inserts straight into the pool actors —
-            # keys never transit the driver (at a 10^10 frontier the
-            # cumulative delta set is the frontier itself).  Driver
-            # path keeps the in-process insert (small runs by
-            # definition).
-            if use_sharded:
-                from .crawl_plane import _remote_tasks as _rt
-
-                _restore = _rt()["restore"]
-                ray.get([
-                    _restore.remote(
-                        handles,
-                        str(state_root / f"{kind}_delta_gen{g}.parquet"))
-                    for g in range(start_gen)
-                    for kind, handles in (
-                        ("marks", marks_pool.shard_handles),
-                        ("hashes", hash_pool.shard_handles))
-                ])
-            else:
-                for g in range(start_gen):
-                    marks_pool.insert(_read_delta(
-                        str(state_root / f"marks_delta_gen{g}.parquet")))
-                    hash_pool.insert(_read_delta(
-                        str(state_root / f"hashes_delta_gen{g}.parquet")))
+            # replay the per-generation seen-set deltas 0..last (on the
+            # actor placement one task per file: keys never transit the
+            # driver — at a 10^10 frontier the cumulative delta set is
+            # the frontier itself)
+            pl.get([
+                pl.run(_restore_delta, shards,
+                       str(state_root / f"{kind}_delta_gen{g}.parquet"))
+                for g in range(start_gen)
+                for kind, shards in (("marks", pl.marks),
+                                     ("hashes", pl.hashes))
+            ])
             states = {
                 int(k): SeedState.from_dict(v)
                 for k, v in last["seed_states"].items()
@@ -852,30 +557,23 @@ def run_crawl(
             frontier.restore_parquet(
                 str(state_root / f"frontier_gen{last['generation']}.parquet")
             )
-            if use_sharded:
-                frontier.set_dropped(int(last.get("frontier_dropped", 0)))
-            else:
-                frontier.dropped = int(last.get("frontier_dropped", 0))
-            metrics = [GenerationMetrics(**m) for m in manifest.get("metrics", [])]
+            frontier.dropped = int(last["frontier_dropped"])
+            metrics = [GenerationMetrics(**m) for m in manifest["metrics"]]
             logger.info("Resuming from generation %d (%d frontier entries)", start_gen, len(frontier))
     else:
         # fresh run: purge stale partitions/state a previous (longer or
         # differently-configured) run may have left in this run_dir —
         # results_table() globs every gen=* dir, so leftovers would
         # silently contaminate the output
-        if results_root.exists():
-            shutil.rmtree(results_root)
-            results_root.mkdir(parents=True)
-        if state_root.exists():
-            shutil.rmtree(state_root)
-            state_root.mkdir(parents=True)
-        from ..corpus import corpus_digest
-
+        for root in (results_root, state_root):
+            shutil.rmtree(root)
+            root.mkdir(parents=True)
         manifest = {
+            "layout": MANIFEST_LAYOUT,
             "config_digest": digest,
             "corpus_dir": corpus_dir,
             "corpus_digest": corpus_digest(corpus_dir),
-            # pin the resolved queue layout: resume must rebuild the SAME
+            # pin the resolved placement: resume must rebuild the SAME
             # shape even if the AUTO cutoff/formula changes later
             "frontier_shards_resolved": n_shards,
             "generations": [],
@@ -889,7 +587,7 @@ def run_crawl(
                 or cfg.gen_wallclock_s is not None)
     gen_cap = 1_000_000 if budgeted else cfg.max_depth
     # Politeness token budgets (per-seed pop caps enforced inside the
-    # frontier — shard actors on the sharded path): a host with
+    # frontier — shard actors on the actor placement): a host with
     # crawl-delay D schedules ⌊gen_wallclock_s / D⌋ fetches/generation.
     if cfg.gen_wallclock_s is not None:
         pop_budget: object = {}
@@ -900,12 +598,11 @@ def run_crawl(
             pop_budget[_sid] = _b
     else:
         pop_budget = cfg.max_fetch_per_gen
+    fetched_urls_per_gen: List[Set[str]] = []
     gen = start_gen
     while len(frontier) and gen <= gen_cap:
         t_gen = time.monotonic()
         gm = GenerationMetrics(generation=gen)
-
-        # ── control plane: budgeted pop from the priority-queue frontier ──
         # Exhausted seeds' queued entries can never be scheduled — purge
         # them in ONE step instead of draining max_fetch_per_gen per
         # generation (each no-op generation would pay a full O(frontier)
@@ -915,261 +612,19 @@ def run_crawl(
             sid for sid, st in states.items()
             if st.exhausted or st.pages >= cfg.max_pages
         ]
-        purged_pre = frontier.drop_seeds(ex_sids) if ex_sids else 0
-
-        if use_sharded:
-            # data-plane control: the driver sees only counters/states;
-            # candidates, metadata, replay rows and delta keys flow as
-            # ObjectRefs between tasks and shard actors
-            fetch_digest = _generation_dataplane(
-                corpus_dir, cfg, frontier, marks_pool, hash_pool,
-                states, seed_delays, blacklist, robots, gm, gen,
-                results_root, state_root, with_intel, on_page_crawled,
-                track_fetched_urls, fetched_urls_per_gen, purged_pre,
-                pop_budget,
-            )
-            gm.deferred = len(frontier)
-            gm.wall_time_s = time.monotonic() - t_gen
-            metrics.append(gm)
-            _checkpoint_generation(
-                frontier, use_sharded, state_root, manifest,
-                manifest_path, metrics, states, gm, gen, fetch_digest)
-            gen += 1
-            continue
-
-        popped = frontier.pop_budget(pop_budget)
-
-        # prior-mark filter (pop-check, crawler.py:240)
-        keys = [_mark_key(sid, u) for sid, _, u in popped]
-        marked = marks_pool.contains(keys)
-        gm.already = int(marked.sum())
-        cands_meta = [fr for fr, m in zip(popped, marked) if not m]
-
-        # exhausted seeds' candidates never fetch (their replay abandons them)
-        active = [
-            (sid, d, u)
-            for sid, d, u in cands_meta
-            if not states[sid].exhausted and states[sid].pages < cfg.max_pages
-        ]
-        active_set = set(active)
-        aband_pre = [x for x in cands_meta if x not in active_set]
-        black = {u for _, _, u in active if is_blacklisted(u, blacklist)}
-        robots_hits = robots.blocked_set(
-            {u for _, _, u in active if u not in black}
+        gm.abandoned = frontier.drop_seeds(ex_sids) if ex_sids else 0
+        fetch_digest = _generation(
+            corpus_dir, cfg, pl, states, seed_delays, blacklist, robots,
+            gm, gen, results_root, state_root, with_intel, on_page_crawled,
+            fetched_urls_per_gen if track_fetched_urls else None,
+            pop_budget,
         )
-        black |= robots_hits
-        fetch_urls = sorted({u for _, _, u in active if u not in black})
-        gm.candidates = len(cands_meta)
-
-        # ── data plane: pruned corpus read → broadcast-filter → extract ──
-        extracted: Dict[str, dict] = {}
-        gen_results_dir = results_root / f"gen={gen}"
-        if gen_results_dir.exists():
-            shutil.rmtree(gen_results_dir)  # idempotent partition overwrite
-        if fetch_urls:
-            hosts = {get_host(u) for u in fetch_urls}
-            paths = _corpus_paths_for_hosts(corpus_dir, hosts)
-            if paths and len(fetch_urls) > _fetch_cutoff(cfg):
-                # size-gated bucketed membership (FETCH_BROADCAST_CUTOFF):
-                # hashes co-partitioned with the corpus host_bucket layout,
-                # each bucket's read carrying only its own hash ref
-                from ..urlops import batch_url_hash64 as _bh64
-                import numpy as _np
-
-                by_bucket: Dict[int, List[str]] = {}
-                for u in fetch_urls:
-                    by_bucket.setdefault(
-                        host_bucket_of(get_host(u)), []).append(u)
-                bucket_refs = {
-                    b: ray.put(_np.sort(_bh64(us)))
-                    for b, us in by_bucket.items()
-                }
-                filt = (by_bucket if len(fetch_urls) <= 100_000 else None)
-                fetched_ds = _fetch_extract_bucketed(
-                    corpus_dir, bucket_refs, cfg, bucket_filter_urls=filt)
-            elif paths:
-                hashes_ref = broadcast_frontier_hashes(fetch_urls)
-                # For modest frontiers, push the membership filter into the
-                # Arrow scanner: non-frontier rows are dropped before their
-                # html bytes ever reach the object store.  Beyond the cap
-                # the filter expression itself would be the bottleneck —
-                # the hash-broadcast filter in fetch_extract_task is the
-                # 10^10-scale path either way (it always applies too).
-                import pyarrow.compute as _pc
-
-                read_kwargs = {}
-                if len(fetch_urls) <= 100_000:
-                    read_kwargs["filter"] = _pc.field("url").isin(fetch_urls)
-                ds = ray.data.read_parquet(
-                    paths, columns=["url", "html"], **read_kwargs
-                )
-                fetched_ds = ds.map_batches(
-                    fetch_extract_task,
-                    fn_kwargs={"hashes_ref": hashes_ref},
-                    batch_format="pyarrow",
-                    batch_size=cfg.extract_batch_size,
-                    runtime_env=runtime_env(),
-                ).materialize()
-            else:
-                fetched_ds = None
-            if fetched_ds is not None:
-                # control-plane metadata pull: the driver-queue path
-                # replays in driver memory by design (small runs below
-                # the frontier-sharding cutoff; the sharded path above
-                # took the _generation_dataplane branch instead)
-                meta = fetched_ds.select_columns(
-                    ["url", "content_hash", "links"]).take_all()
-                extracted = {
-                    r["url"]: {
-                        "content_hash": r["content_hash"],
-                        "links": list(r["links"]),
-                    }
-                    for r in meta
-                }
-        else:
-            fetched_ds = None
-        gm.fetched = len(extracted)
-        if track_fetched_urls:
-            # O(total pages) driver memory — conformance/test aid only
-            fetched_urls_per_gen.append(set(extracted))
-
-        # ── replay the reference control flow in canonical order ──────────
-        candidates = [
-            Candidate(
-                seed_id=sid,
-                url=u,
-                depth=d,
-                blacklisted=u in black,
-                fetched=u in extracted,
-                content_hash=extracted[u]["content_hash"] if u in extracted else None,
-            )
-            for sid, d, u in active
-        ]
-        cand_depth = {(sid, u): d for sid, d, u in active}
-        cand_hashes = sorted({c.content_hash for c in candidates if c.content_hash})
-        known = hash_pool.contains(cand_hashes)
-        known_hashes = {h for h, k in zip(cand_hashes, known) if k}
-        if cfg.replay_shards:
-            replay: ReplayResult = replay_generation_sharded(
-                candidates, states, known_hashes, cfg,
-                seed_delays=seed_delays, n_shards=cfg.replay_shards,
-            )
-        else:
-            replay = replay_generation(
-                candidates, states, known_hashes, cfg, seed_delays=seed_delays
-            )
-        gm.abandoned = (replay.status.count("abandoned") + len(aband_pre)
-                        + purged_pre)
-        gm.success = replay.status.count("success")
-        gm.failed = replay.status.count("failed")
-        gm.dup = replay.status.count("dup")
-        # split the skip reason: robots_blocked counts pops skipped by a
-        # robots rule, blacklisted counts path-blacklist skips — disjoint
-        gm.robots_blocked = sum(
-            1
-            for c, st_ in zip(candidates, replay.status)
-            if st_ == "blacklisted" and c.url in robots_hits
-        )
-        gm.blacklisted = replay.status.count("blacklisted") - gm.robots_blocked
-
-        marks_pool.insert([_mark_key(s, u) for s, u in replay.new_marks])
-        hash_pool.insert(replay.new_hashes)
-
-        # ── persist accepted results (partitioned per generation) ─────────
-        if on_page_crawled is not None:
-            for sid, u in sorted(replay.accepted):
-                on_page_crawled(
-                    {
-                        "url": u,
-                        "seed_id": sid,
-                        "depth": cand_depth[(sid, u)],
-                        "content_hash": extracted[u]["content_hash"],
-                    }
-                )
-
-        accepted_by_url = {
-            u: (sid, cand_depth[(sid, u)]) for sid, u in replay.accepted
-        }
-        if accepted_by_url and fetched_ds is not None:
-            # broadcast as PARALLEL ARRAYS sorted by url hash — membership
-            # and (seed_id, depth) lookup are one vectorized searchsorted
-            # per batch (same idiom as fetch_extract_task; a 64-bit hash
-            # collision between a fetched-but-rejected and an accepted URL
-            # is the only way to misroute a row — negligible and bounded)
-            from ..urlops import batch_url_hash64 as _bh64
-            import numpy as _np
-
-            _acc_urls = sorted(accepted_by_url)
-            _h = _bh64(_acc_urls)
-            _order = _np.argsort(_h)
-            acc_ref = ray.put(
-                (
-                    _h[_order],
-                    _np.array([accepted_by_url[u][0] for u in _acc_urls],
-                              _np.int32)[_order],
-                    _np.array([accepted_by_url[u][1] for u in _acc_urls],
-                              _np.int32)[_order],
-                )
-            )
-
-            out_ds = fetched_ds.map_batches(
-                _finalize_accepted,
-                fn_kwargs={"acc_ref": acc_ref},
-                batch_format="pyarrow",
-                batch_size=cfg.extract_batch_size,
-                runtime_env=runtime_env(),
-            )
-            if with_intel:
-                out_ds = out_ds.map_batches(
-                    intelligence_batch,
-                    batch_format="pyarrow",
-                    batch_size=cfg.extract_batch_size,
-                    runtime_env=runtime_env(),
-                )
-            out_ds.write_parquet(str(gen_results_dir))
-
-        # ── next-generation frontier (enqueue guard depth < max_depth) ────
-        # collect, then push in canonical (sid, depth, url) order — the
-        # queue's first-push-wins dedup must see the SHALLOWEST
-        # discovery of a url first (BFS invariant).  Iterating parents
-        # by (sid, url) could push a deep parent's link before a
-        # shallow parent's in budget mode (mixed-depth generations),
-        # permanently recording the deeper depth and diverging from
-        # the sharded path, whose commit() sorts staged entries.
-        entries = []
-        for sid, u in sorted(replay.propagate):
-            d = cand_depth[(sid, u)]
-            if d < cfg.max_depth:
-                entries.extend(
-                    (sid, d + 1, link) for link in extracted[u]["links"]
-                )
-        entries.sort()
-        frontier.push(entries)
         gm.deferred = len(frontier)
         gm.wall_time_s = time.monotonic() - t_gen
         metrics.append(gm)
-
-        # ── checkpoint: O(generation-delta) state + lineage manifest ──────
-        # Seen-set DELTAS: the driver already knows exactly which keys this
-        # generation added (replay.new_marks / new_hashes), so checkpoint
-        # I/O is O(new keys) per generation, not O(all keys) — at a 10^10
-        # frontier a full-set snapshot per generation would be the
-        # dominant cost.  Resume replays deltas 0..K into the pools.
-        # (On the data-plane path the replay TASKS write these files.)
-        _write_delta(
-            str(state_root / f"marks_delta_gen{gen}.parquet"),
-            [_mark_key(s_, u_) for s_, u_ in replay.new_marks],
-        )
-        _write_delta(
-            str(state_root / f"hashes_delta_gen{gen}.parquet"),
-            list(replay.new_hashes),
-        )
         _checkpoint_generation(
-            frontier, use_sharded, state_root, manifest, manifest_path,
-            metrics, states, gm, gen,
-            hashlib.sha256("\n".join(fetch_urls).encode()).hexdigest()[:16],
-        )
-
+            frontier, state_root, manifest, manifest_path, metrics, states,
+            gm, gen, pl.get(fetch_digest))
         gen += 1
 
     stats = {
@@ -1178,9 +633,7 @@ def run_crawl(
         "pages_failed": sum(s.failed for s in states.values()),
         "pages_skipped": sum(s.skipped for s in states.values()),
         "pages_deduplicated": sum(s.deduplicated for s in states.values()),
-        "frontier_dropped": (
-            frontier.dropped() if use_sharded else frontier.dropped
-        ),
+        "frontier_dropped": frontier.dropped,
         "generations": gen,
     }
     return CrawlRun(

@@ -25,6 +25,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from . import call_shards
+
 Entry = Tuple[int, int, str]  # (seed_id, depth, url)
 
 
@@ -59,6 +61,7 @@ class FrontierQueue:
         self._heaps: Dict[int, List[Tuple[int, str]]] = {}
         self._members: Set[Tuple[int, str]] = set()
         self._max = max_per_seed
+        self._staged: List[Entry] = []
         self.dropped = 0
 
     def __len__(self) -> int:
@@ -90,6 +93,19 @@ class FrontierQueue:
             for _, u in drop:
                 self._members.discard((sid, u))
             self.dropped += len(drop)
+
+    def stage(self, entries: Iterable[Entry]) -> None:
+        """Buffer entries for :meth:`commit_staged` (staging calls may
+        arrive in any order)."""
+        self._staged.extend(tuple(e) for e in entries)
+
+    def commit_staged(self) -> int:
+        """Push the staged entries in canonical (seed_id, depth, url)
+        order — the shallowest discovery of a url wins the first-push
+        dedup however the staging calls interleaved."""
+        staged, self._staged = sorted(self._staged), []
+        self.push(staged)
+        return len(self)
 
     def pop_budget(
         self, budget_per_seed: Optional[int] | Dict[int, int] = None
@@ -152,6 +168,20 @@ class FrontierQueue:
         self.restore_list(_parquet_to_entries(path))
 
 
+class _FrontierShard(FrontierQueue):
+    """Actor body of one :class:`ShardedFrontierQueue` shard: the queue
+    plus the accessors a remote caller needs."""
+
+    def size(self) -> int:
+        return len(self)
+
+    def get_dropped(self) -> int:
+        return self.dropped
+
+    def set_dropped(self, n: int) -> None:
+        self.dropped = n
+
+
 class ShardedFrontierQueue:
     """Ray-actor shard pool over :class:`FrontierQueue` (cluster path).
 
@@ -160,12 +190,11 @@ class ShardedFrontierQueue:
     corpus partition.  All actor calls are batched; pops merge-sort across
     shards deterministically.
 
-    **Staged pushes** are the data-plane link-expansion protocol: fetch
-    tasks call ``stage()`` on shard handles concurrently (arrival order is
-    nondeterministic), and the driver's ``commit_staged()`` barrier makes
-    each shard SORT its staging buffer before pushing — so the applied
-    order is canonical (depth-then-url, lowest depth winning frontier
-    dedup) no matter how tasks interleaved.  Link entries therefore flow
+    **Staged pushes** are the data-plane link-expansion protocol: tasks
+    call ``stage()`` on shard handles concurrently (arrival order is
+    nondeterministic), and the driver's ``commit_staged()`` barrier has
+    each shard apply its staging buffer in canonical sorted order
+    (:meth:`FrontierQueue.commit_staged`).  Link entries therefore flow
     worker→shard as batches; the driver sees only counts.
 
     **Checkpointing is per-shard**: ``snapshot_parquet(path)`` has every
@@ -179,58 +208,10 @@ class ShardedFrontierQueue:
 
         from .. import runtime_env
 
-        @ray.remote(num_cpus=0, runtime_env=runtime_env())
-        class _Shard:
-            def __init__(self, max_per_seed):
-                self._q = FrontierQueue(max_per_seed)
-                self._staged: List[Entry] = []
-
-            def push(self, entries):
-                self._q.push(entries)
-                return len(self._q)
-
-            def stage(self, entries):
-                self._staged.extend(tuple(e) for e in entries)
-                return len(self._staged)
-
-            def commit(self):
-                ents = sorted(self._staged)
-                self._staged.clear()
-                self._q.push(ents)
-                return len(self._q)
-
-            def pop_budget(self, budget):
-                return self._q.pop_budget(budget)
-
-            def drop_seeds(self, sids):
-                return self._q.drop_seeds(sids)
-
-            def size(self):
-                return len(self._q)
-
-            def dropped(self):
-                return self._q.dropped
-
-            def set_dropped(self, n):
-                self._q.dropped = n
-
-            def snapshot(self):
-                return self._q.snapshot_list()
-
-            def snapshot_file(self, path):
-                _entries_to_parquet(self._q.snapshot_list(), path)
-                return len(self._q)
-
-            def restore(self, entries):
-                self._q.restore_list(entries)
-                return len(self._q)
-
-            def restore_file(self, path):
-                self._q.restore_list(_parquet_to_entries(path))
-                return len(self._q)
-
+        actor_cls = ray.remote(num_cpus=0, runtime_env=runtime_env())(
+            _FrontierShard)
         self._n = n_shards
-        self._shards = [_Shard.remote(max_per_seed) for _ in range(n_shards)]
+        self._shards = [actor_cls.remote(max_per_seed) for _ in range(n_shards)]
 
     @property
     def n_shards(self) -> int:
@@ -238,29 +219,46 @@ class ShardedFrontierQueue:
 
     @property
     def shard_handles(self):
-        """Actor handles for data-plane tasks to ``stage()`` against
-        (route by ``seed_id % n_shards``)."""
+        """Actor handles for tasks to ``stage()`` against (route by
+        ``seed_id % n_shards``)."""
         return list(self._shards)
 
+    def _each(self, method: str, *args) -> list:
+        import ray
+
+        return ray.get([getattr(s, method).remote(*args) for s in self._shards])
+
+    def _routed(self, method: str, items: Iterable) -> list:
+        """``method`` on each owning shard with its share of *items*
+        (entries, or bare seed ids), routed by ``seed_id % n_shards``."""
+        routed: Dict[int, list] = {}
+        for it in items:
+            sid = it if isinstance(it, int) else it[0]
+            routed.setdefault(sid % self._n, []).append(it)
+        return list(call_shards(self._shards, method, routed).values())
+
+    def push(self, entries: Iterable[Entry]) -> None:
+        self._routed("push", entries)
+
     def commit_staged(self) -> int:
+        return sum(self._each("commit_staged"))
+
+    @property
+    def dropped(self) -> int:
+        return sum(self._each("get_dropped"))
+
+    @dropped.setter
+    def dropped(self, n: int) -> None:
         import ray
 
-        return sum(ray.get([s.commit.remote() for s in self._shards]))
-
-    def set_dropped(self, n: int) -> None:
-        import ray
-
-        ray.get(self._shards[0].set_dropped.remote(n))
+        ray.get([s.set_dropped.remote(n if i == 0 else 0)
+                 for i, s in enumerate(self._shards)])
 
     def snapshot_parquet(self, path: str) -> None:
         import ray
 
-        ray.get(
-            [
-                s.snapshot_file.remote(f"{path}.shard{i}")
-                for i, s in enumerate(self._shards)
-            ]
-        )
+        ray.get([s.snapshot_parquet.remote(f"{path}.shard{i}")
+                 for i, s in enumerate(self._shards)])
 
     def restore_parquet(self, path: str) -> None:
         import glob as _glob
@@ -273,24 +271,8 @@ class ShardedFrontierQueue:
                 f"frontier shard count changed across resume: "
                 f"{len(files)} snapshot files for {self._n} shards"
             )
-        ray.get(
-            [
-                self._shards[i].restore_file.remote(f"{path}.shard{i}")
-                for i in range(self._n)
-            ]
-        )
-
-    def _route(self, entries: Iterable[Entry]) -> Dict[int, List[Entry]]:
-        routed: Dict[int, List[Entry]] = {}
-        for e in entries:
-            routed.setdefault(e[0] % self._n, []).append(e)
-        return routed
-
-    def push(self, entries: Iterable[Entry]) -> None:
-        import ray
-
-        routed = self._route(entries)
-        ray.get([self._shards[i].push.remote(es) for i, es in routed.items()])
+        ray.get([s.restore_parquet.remote(f"{path}.shard{i}")
+                 for i, s in enumerate(self._shards)])
 
     def _split_budget(self, budget):
         """Route a per-seed budget map to owning shards (whole scalar /
@@ -308,20 +290,14 @@ class ShardedFrontierQueue:
     ) -> List[Entry]:
         import ray
 
-        split = self._split_budget(budget_per_seed)
-        parts = ray.get(
-            [s.pop_budget.remote(b)
-             for s, b in zip(self._shards, split)]
-        )
-        out = [tuple(e) for part in parts for e in part]
-        out.sort()
-        return out
+        parts = ray.get(self.pop_budget_refs(budget_per_seed))
+        return sorted(tuple(e) for part in parts for e in part)
 
     def pop_budget_refs(
         self, budget_per_seed: Optional[int] | Dict[int, int] = None
     ):
-        """Per-shard budgeted pops as ObjectRefs — the data-plane control
-        path: popped entries never transit the driver; downstream tasks
+        """Per-shard budgeted pops as ObjectRefs — the actor placement's
+        pop: popped entries never transit the driver; downstream tasks
         receive the refs and Ray resolves them in place.  Per-seed
         budget maps (politeness tokens) are enforced INSIDE each shard
         actor."""
@@ -330,40 +306,14 @@ class ShardedFrontierQueue:
                 for s, b in zip(self._shards, split)]
 
     def drop_seeds(self, sids: Iterable[int]) -> int:
-        import ray
-
-        routed: Dict[int, List[int]] = {}
-        for sid in sids:
-            routed.setdefault(sid % self._n, []).append(sid)
-        if not routed:
-            return 0
-        return sum(ray.get(
-            [self._shards[i].drop_seeds.remote(ss)
-             for i, ss in routed.items()]
-        ))
+        return sum(self._routed("drop_seeds", sids))
 
     def __len__(self) -> int:
-        import ray
-
-        return sum(ray.get([s.size.remote() for s in self._shards]))
-
-    def dropped(self) -> int:
-        import ray
-
-        return sum(ray.get([s.dropped.remote() for s in self._shards]))
+        return sum(self._each("size"))
 
     def snapshot_list(self) -> List[Entry]:
-        import ray
-
-        parts = ray.get([s.snapshot.remote() for s in self._shards])
-        out = [tuple(e) for part in parts for e in part]
-        out.sort()
-        return out
+        parts = self._each("snapshot_list")
+        return sorted(tuple(e) for part in parts for e in part)
 
     def restore_list(self, entries: Iterable[Entry]) -> None:
-        import ray
-
-        routed = self._route(entries)
-        ray.get(
-            [self._shards[i].restore.remote(es) for i, es in routed.items()]
-        )
+        self._routed("restore_list", entries)

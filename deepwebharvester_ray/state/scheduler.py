@@ -19,12 +19,13 @@ own within-generation order is nondeterministic (links pass through a
 Python set, extractor.py:85 — SURVEY §2.9), so the engine and its oracle
 both define this sorted order as canonical.
 
-Scale note (10^10 frontier): this replay is O(candidates) pure-Python with
-no data access — per-seed state is independent except the global
-content-hash set, so on a cluster it shards by seed across scheduler
-actors, with within-generation content-hash claims resolved first-wins by
-canonical key via a groupby (SURVEY §7.4); the driver-side loop here is
-the single-node specialization.
+Scale note: this replay is O(candidates) pure-Python with no data access,
+so every crawl runs ONE replay call per generation — in the driver for
+in-process control state, in one Ray task for the actor placement
+(pipelines/crawl_plane.py).  Per-seed state is independent except the
+global content-hash set; splitting the replay by seed range would pass
+that set's within-generation claims link to link, a chain that is
+sequential by construction.
 """
 from __future__ import annotations
 
@@ -181,83 +182,3 @@ def replay_generation(
             st.vclock += cfg.renew_pause
 
     return ReplayResult(status, new_marks, new_hashes, accepted, propagate)
-
-
-# ── cluster path: seed-sharded replay chain ──────────────────────────────────
-
-
-def replay_generation_sharded(
-    candidates: Sequence[Candidate],
-    states: Dict[int, SeedState],
-    known_hashes: Set[str],
-    cfg: CrawlSettings,
-    seed_delays: Optional[Dict[int, float]] = None,
-    n_shards: int = 2,
-) -> ReplayResult:
-    """Cluster-path replay: candidates shard by ``seed_id % n_shards`` into
-    Ray actors; the global content-hash claim state flows down the shard
-    chain as an ObjectRef.
-
-    The canonical order sorts by ``seed_id`` FIRST, so all of shard k's
-    decisions precede shard k+1's — cross-shard sequencing is a pipeline
-    (each shard starts as soon as its predecessor's claims arrive), never a
-    barrier, and across generations the chain overlaps with the data
-    plane.  Within one shard, seeds are mutually independent except for
-    those claims.  Output is bit-identical to :func:`replay_generation`
-    (verified by tests/test_state.py).
-    """
-    import ray
-
-    # shard by CONTIGUOUS seed ranges so chain order == canonical order
-    seed_ids = sorted({c.seed_id for c in candidates} | set(states))
-    if not seed_ids or n_shards <= 1:
-        return replay_generation(candidates, states, known_hashes, cfg, seed_delays)
-    chunk = (len(seed_ids) + n_shards - 1) // n_shards
-    shard_seeds = [
-        set(seed_ids[i * chunk : (i + 1) * chunk]) for i in range(n_shards)
-    ]
-
-    from .. import runtime_env
-
-    @ray.remote(num_cpus=0, runtime_env=runtime_env())
-    def _shard_replay(cands, shard_states, claims, cfg, delays):
-        res = replay_generation(cands, shard_states, claims, cfg, delays)
-        claims_out = set(claims) | set(res.new_hashes)
-        return res, shard_states, claims_out
-
-    @ray.remote(num_cpus=0, runtime_env=runtime_env())
-    def _claims_of(result):
-        return result[2]
-
-    claims_ref = ray.put(set(known_hashes))
-    futures = []
-    for seeds in shard_seeds:
-        cands = [c for c in candidates if c.seed_id in seeds]
-        sub_states = {sid: states[sid] for sid in seeds if sid in states}
-        sub_delays = (
-            {sid: seed_delays[sid] for sid in seeds if sid in seed_delays}
-            if seed_delays
-            else None
-        )
-        fut = _shard_replay.remote(cands, sub_states, claims_ref, cfg, sub_delays)
-        # chain: next shard consumes this shard's claims (pipeline, no barrier)
-        claims_ref = _claims_of.remote(fut)
-        futures.append(fut)
-
-    status: List[str] = []
-    new_marks: List[Tuple[int, str]] = []
-    new_hashes: List[str] = []
-    accepted: Set[Tuple[int, str]] = set()
-    propagate: Set[Tuple[int, str]] = set()
-    for fut in futures:
-        res, shard_states, _ = ray.get(fut)
-        status.extend(res.status)
-        new_marks.extend(res.new_marks)
-        new_hashes.extend(res.new_hashes)
-        accepted |= res.accepted
-        propagate |= res.propagate
-        for sid, st in shard_states.items():
-            states[sid] = st  # fold mutated copies back
-    return ReplayResult(status, new_marks, new_hashes, accepted, propagate)
-
-

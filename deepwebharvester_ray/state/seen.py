@@ -3,9 +3,10 @@
 Replaces the reference's lock-guarded in-process sets
 (``Crawler._global_hashes`` crawler.py:111-112 for content dedup,
 per-site ``crawled`` crawler.py:230 for URL marks) with a pool of Ray
-actors sharded by a stable 64-bit key hash.  All calls are **batched**:
-the driver groups a generation's keys by shard and issues one RPC per
-shard (SURVEY §2.3 ST1/ST2).
+shards keyed by a stable 64-bit key hash: in-process :class:`SeenShard`
+objects or Ray actors (:class:`SeenSetPool`).  All calls are **batched**:
+:func:`pool_contains` / :func:`pool_insert` group a generation's keys by
+shard and make one call per shard (SURVEY §2.3 ST1/ST2).
 
 Modes:
 
@@ -29,6 +30,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..urlops import url_hash64
+from . import call_shards
 from .cuckoo import CuckooFilter
 
 
@@ -129,6 +131,41 @@ class SeenShard:
             self._cuckoo.restore(state["cuckoo"])
 
 
+def _route(keys: Sequence[str], n: int) -> Dict[int, List[int]]:
+    """Key positions by owning shard: ``url_hash64(key) % n``."""
+    if n == 1:
+        return {0: list(range(len(keys)))} if len(keys) else {}
+    groups: Dict[int, List[int]] = {}
+    for i, k in enumerate(keys):
+        groups.setdefault(url_hash64(k) % n, []).append(i)
+    return groups
+
+
+def _scatter_gather(shards, method: str, keys: Sequence[str]) -> List:
+    """One batched ``method`` call per owning shard; per-key results in
+    key order (None where the method returns a count, not a list)."""
+    keys = list(keys)
+    groups = _route(keys, len(shards))
+    res = call_shards(shards, method, {
+        s: [keys[i] for i in idxs] for s, idxs in groups.items()})
+    out: List = [None] * len(keys)
+    for s, vals in res.items():
+        if isinstance(vals, list):
+            for i, v in zip(groups[s], vals):
+                out[i] = v
+    return out
+
+
+def pool_contains(shards, keys: Sequence[str]) -> np.ndarray:
+    """Batched membership over seen shards — in-process
+    :class:`SeenShard` objects or their actor handles."""
+    return np.array(_scatter_gather(shards, "contains", keys), dtype=bool)
+
+
+def pool_insert(shards, keys: Sequence[str]) -> None:
+    _scatter_gather(shards, "insert", keys)
+
+
 class SeenSetPool:
     """Driver-side handle over N SeenShard actors, routed by key hash.
 
@@ -155,56 +192,20 @@ class SeenSetPool:
 
     @property
     def shard_handles(self):
-        """Actor handles for data-plane tasks to query/insert directly
-        (route by ``url_hash64(key) % len(handles)`` — the same rule as
-        :meth:`_route`; see ``pipelines.crawl_plane.pool_contains``)."""
+        """Actor handles for tasks to pass to :func:`pool_contains` /
+        :func:`pool_insert` directly."""
         return list(self._shards)
 
-    def _route(self, keys: Sequence[str]) -> Dict[int, List[int]]:
-        groups: Dict[int, List[int]] = {}
-        for i, k in enumerate(keys):
-            groups.setdefault(url_hash64(k) % self._n, []).append(i)
-        return groups
-
-    def _scatter_gather(self, method: str, keys: Sequence[str]) -> List:
-        import ray
-
-        groups = self._route(keys)
-        futs = {
-            shard: getattr(self._shards[shard], method).remote([keys[i] for i in idxs])
-            for shard, idxs in groups.items()
-        }
-        out = [None] * len(keys)
-        for shard, fut in futs.items():
-            res = ray.get(fut)
-            if isinstance(res, list):
-                for i, v in zip(groups[shard], res):
-                    out[i] = v
-        return out
-
     def contains(self, keys: Sequence[str]) -> np.ndarray:
-        if not len(keys):
-            return np.zeros(0, dtype=bool)
-        return np.array(self._scatter_gather("contains", list(keys)), dtype=bool)
+        return pool_contains(self._shards, keys)
 
     def check_and_insert(self, keys: Sequence[str]) -> np.ndarray:
-        if not len(keys):
-            return np.zeros(0, dtype=bool)
-        return np.array(self._scatter_gather("check_and_insert", list(keys)), dtype=bool)
+        return np.array(
+            _scatter_gather(self._shards, "check_and_insert", keys),
+            dtype=bool)
 
     def insert(self, keys: Sequence[str]) -> None:
-        import ray
-
-        if not len(keys):
-            return
-        keys = list(keys)
-        groups = self._route(keys)
-        ray.get(
-            [
-                self._shards[s].insert.remote([keys[i] for i in idxs])
-                for s, idxs in groups.items()
-            ]
-        )
+        pool_insert(self._shards, keys)
 
     def size(self) -> int:
         import ray
@@ -250,7 +251,7 @@ class SeenSetPool:
                     "seen-set shard count changed across resume; "
                     "cannot restore cuckoo filter state"
                 )
-            groups = self._route(keys)
+            groups = _route(keys, self._n)
             futs = []
             for i in range(self._n):
                 state = {
@@ -264,11 +265,5 @@ class SeenSetPool:
                 futs.append(self._shards[i].restore_state.remote(state))
             ray.get(futs)
             return len(keys)
-        groups = self._route(keys)
-        ray.get(
-            [
-                self._shards[s].restore_keys.remote([keys[i] for i in idxs])
-                for s, idxs in groups.items()
-            ]
-        )
+        _scatter_gather(self._shards, "restore_keys", keys)
         return len(keys)

@@ -1,8 +1,7 @@
 """URL operations: validation, blacklist, canonicalization, hashing.
 
 Semantics mirror the reference exactly (cited per function); the batch
-variants operate on whole Arrow columns for use inside
-``Dataset.map_batches(batch_format="pyarrow")``.
+hash variant serves ``Dataset.map_batches`` membership filters.
 
 Reference: /root/reference/deepwebharvester/extractor.py:17-70.
 """
@@ -14,7 +13,6 @@ from typing import Iterable, List, Sequence
 from urllib.parse import parse_qsl, urlencode, urlparse, urlunparse
 
 import numpy as np
-import pyarrow as pa
 
 # Tor v3 onion hostnames: 56 base32 chars (reference extractor.py:17).
 _ONION_V3_RE = re.compile(r"^https?://[a-z2-7]{56}\.onion(/|$)", re.IGNORECASE)
@@ -80,23 +78,7 @@ def content_hash_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8", errors="replace")).hexdigest()
 
 
-# ── Batch (Arrow) variants ────────────────────────────────────────────────────
-
-
-def batch_is_valid_onion(urls: pa.Array | pa.ChunkedArray) -> np.ndarray:
-    """Vectorized validity mask for a string column of URLs."""
-    match = _ONION_V3_RE.match
-    return np.fromiter(
-        (bool(match(u)) if u is not None else False for u in urls.to_pylist()),
-        dtype=bool,
-        count=len(urls),
-    )
-
-
-def batch_canonicalize(urls: Sequence[str]) -> List[str]:
-    """Canonicalize a batch of URLs (pure-Python; urlparse dominates cost)."""
-    canon = canonicalize_url
-    return [canon(u) for u in urls]
+# ── Batch variant ────────────────────────────────────────────────────
 
 
 def batch_url_hash64(urls: Sequence[str]) -> np.ndarray:
@@ -110,11 +92,6 @@ def batch_url_hash64(urls: Sequence[str]) -> np.ndarray:
         dtype=np.uint64,
         count=len(urls),
     )
-
-
-def batch_host(urls: Sequence[str]) -> List[str]:
-    """Host (netloc) per URL."""
-    return [urlparse(u).netloc.lower() for u in urls]
 
 
 _UNRESERVED = frozenset(

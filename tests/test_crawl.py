@@ -222,40 +222,26 @@ def test_resume_after_midgeneration_crash(smoke_corpus, tmp_path):
     assert t_full == t_res
 
 
-def test_conformance_sharded_replay(smoke_corpus, tmp_path):
-    """replay_shards=2 (actor claims chain) reproduces the oracle trace."""
-    seeds = corpus.seed_urls(5)
-    cfg = CrawlSettings(max_depth=2, max_pages=6, seen_shards=2,
-                        replay_shards=2)
-    run = run_crawl(smoke_corpus, seeds, cfg, run_dir=str(tmp_path / "run"))
-    oracle_cfg = CrawlSettings(max_depth=2, max_pages=6, seen_shards=2)
-    trace = oracle.crawl_oracle(
-        oracle.load_corpus_map(smoke_corpus), seeds, oracle_cfg
-    )
-    assert run.stats["pages_crawled"] > 0
-    _compare(run, trace)
-
-
 @pytest.mark.parametrize("seen_mode", ["exact", "cuckoo"])
 def test_chaos_sigkill_replay_mid_generation(smoke_corpus, tmp_path,
                                              seen_mode):
     """VERDICT r03 item 8: TWO SIGKILLs land mid-generation on the
-    sharded path (frontier_shards=4, replay_shards=2) — one replay
+    actor placement (frontier_shards=4) — the replay
     task dies after computing its results but before its checkpoint
-    delta writes, and one pool-commit task dies after its seen/hash
+    delta writes, and the pool-commit task dies after its seen/hash
     inserts but before acknowledging.  Ray's task retries must heal
     the generation: identical stats/trace to the unkilled twin, no
     URL fetched twice, and a consistent lineage manifest (same
     per-gen fetch digests and counts).  This test originally caught a
     real bug: replay tasks used to insert into the hash pool
-    themselves, so a killed link's retry saw its OWN inserts as
+    themselves, so a killed task's retry saw its OWN inserts as
     prior-generation duplicates and wrongly deduplicated 3 pages —
     hence the commit-task split."""
     import json
     from pathlib import Path
 
     seeds = corpus.seed_urls(5)
-    base = dict(max_depth=2, seen_shards=2, replay_shards=2,
+    base = dict(max_depth=2, seen_shards=2,
                 frontier_shards=4, seen_mode=seen_mode)
 
     clean = run_crawl(smoke_corpus, seeds, CrawlSettings(**base),
@@ -369,11 +355,9 @@ def test_frontier_auto_shard_gate():
 
 
 def test_resume_pins_frontier_layout(smoke_corpus, tmp_path, monkeypatch):
-    """A checkpoint's queue layout survives AUTO-formula drift: a run
-    checkpointed with the driver queue resumes in driver mode even when
-    the AUTO gate would now pick shards (manifest pin), and a
-    pre-recording manifest (no frontier_shards_resolved key) infers the
-    layout from the snapshot file layout instead of crashing."""
+    """A checkpoint's control-state placement survives AUTO-formula
+    drift: a run checkpointed in-process resumes in-process even when
+    the AUTO gate would now pick actors (manifest pin)."""
     import json
     from pathlib import Path
 
@@ -390,7 +374,6 @@ def test_resume_pins_frontier_layout(smoke_corpus, tmp_path, monkeypatch):
     assert manifest["frontier_shards_resolved"] == 0
     manifest["generations"] = [g for g in manifest["generations"]
                                if g["generation"] <= 0]
-    del manifest["frontier_shards_resolved"]     # simulate old checkpoint
     mpath.write_text(json.dumps(manifest))
     import shutil
 
@@ -398,14 +381,32 @@ def test_resume_pins_frontier_layout(smoke_corpus, tmp_path, monkeypatch):
         if int(p.name.split("=")[1]) >= 1:
             shutil.rmtree(p)
 
-    # the AUTO gate would now pick the sharded queue — the snapshot
-    # layout (a single parquet file, no .shard*) must win
+    # the AUTO gate would now pick the actor placement — the pin wins
     monkeypatch.setattr(crawl_mod, "FRONTIER_AUTO_SEEDS", 1)
     resumed = run_crawl(smoke_corpus, seeds, cfg, run_dir=part_dir,
                         resume=True, track_fetched_urls=True)
     assert resumed.stats == full.stats
-    # the resumed manifest is upgraded with the pinned layout
     assert json.loads(mpath.read_text())["frontier_shards_resolved"] == 0
+
+
+def test_resume_rejects_layout1_manifest(smoke_corpus, tmp_path):
+    """A manifest without ``"layout": 2`` (written before the
+    single-body engine) is refused with an error naming the layout,
+    not the misleading config/seeds mismatch."""
+    import json
+    from pathlib import Path
+
+    seeds = corpus.seed_urls(2)
+    cfg = CrawlSettings(max_depth=1, seen_shards=2)
+    rd = str(tmp_path / "run")
+    run_crawl(smoke_corpus, seeds, cfg, run_dir=rd)
+    mpath = Path(rd) / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    assert manifest["layout"] == 2
+    del manifest["layout"]
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="layout 1"):
+        run_crawl(smoke_corpus, seeds, cfg, run_dir=rd, resume=True)
 
 
 def test_conformance_sharded_frontier(smoke_corpus, tmp_path):
@@ -421,8 +422,12 @@ def test_conformance_sharded_frontier(smoke_corpus, tmp_path):
 
 
 def test_sharded_frontier_matches_driver_queue(smoke_corpus, tmp_path):
-    """Sharded vs driver-local frontier: identical per-generation fetch
-    sets, stats, and results rows (staged pushes commit canonically)."""
+    """Actor vs in-process placement: identical per-generation fetch
+    sets, lineage digests, stats, and results rows (staged pushes commit
+    canonically)."""
+    import json
+    from pathlib import Path
+
     seeds = corpus.seed_urls(4)
     base = dict(max_depth=2, max_pages=8, seen_shards=2)
     d = run_crawl(smoke_corpus, seeds, CrawlSettings(**base),
@@ -439,14 +444,19 @@ def test_sharded_frontier_matches_driver_queue(smoke_corpus, tmp_path):
         (r["seed_id"], r["url"], r["depth"], r["content_hash"])
         for r in s.results_table().to_pylist())))
     assert dt == st
+    digests = [
+        [g["fetch_digest"] for g in json.loads(
+            (Path(r.run_dir) / "manifest.json").read_text())["generations"]]
+        for r in (d, s)]
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("frontier_shards", [0, 2])
 def test_bucketed_fetch_membership_forced(smoke_corpus, tmp_path,
-                                          frontier_shards):
-    """fetch_broadcast_cutoff=0 forces the bucketed fetch-membership
+                                          frontier_shards, monkeypatch):
+    """FETCH_BROADCAST_CUTOFF=0 forces the bucketed fetch-membership
     path (per-host-bucket hash refs instead of ONE broadcast array) on
-    both the driver-queue and sharded-frontier paths: identical
+    both placements: identical
     per-generation fetch sets, stats, results rows and lineage digests
     vs the default single-broadcast run."""
     import json as _json
@@ -457,8 +467,10 @@ def test_bucketed_fetch_membership_forced(smoke_corpus, tmp_path,
                 frontier_shards=frontier_shards)
     a = run_crawl(smoke_corpus, seeds, CrawlSettings(**base),
                   run_dir=str(tmp_path / "bc"), track_fetched_urls=True)
-    b = run_crawl(smoke_corpus, seeds,
-                  CrawlSettings(**base, fetch_broadcast_cutoff=0),
+    from deepwebharvester_ray.pipelines import crawl as crawl_mod
+
+    monkeypatch.setattr(crawl_mod, "FETCH_BROADCAST_CUTOFF", 0)
+    b = run_crawl(smoke_corpus, seeds, CrawlSettings(**base),
                   run_dir=str(tmp_path / "bk"), track_fetched_urls=True)
     assert a.fetched_urls_per_gen == b.fetched_urls_per_gen
     assert any(a.fetched_urls_per_gen)  # the forced path actually fetched
@@ -487,34 +499,25 @@ def test_sharded_frontier_resume(smoke_corpus, tmp_path):
     assert resumed.stats["pages_crawled"] >= 0  # resume completed cleanly
 
 
-def test_dataplane_writes_per_shard_deltas(smoke_corpus, tmp_path):
-    """The sharded (data-plane) path's replay TASKS write per-shard
-    seen-set delta files; _read_delta must read that layout back
-    identically to the driver path's single files."""
-    from pathlib import Path
-
-    from deepwebharvester_ray.pipelines.crawl import _read_delta
+def test_placements_write_identical_deltas(smoke_corpus, tmp_path):
+    """Both placements write the same single-file seen-set delta per
+    generation (the replay step writes it, wherever it runs)."""
+    from deepwebharvester_ray.pipelines.crawl_plane import _read_delta
 
     seeds = corpus.seed_urls(4)
-    cfg = CrawlSettings(max_depth=1, seen_shards=2, frontier_shards=2,
-                        replay_shards=2)
-    run_dir = tmp_path / "run"
-    run_crawl(smoke_corpus, seeds, cfg, run_dir=str(run_dir))
-    state = run_dir / "state"
-    shard_files = sorted(state.glob("marks_delta_gen0.parquet.shard*"))
-    assert len(shard_files) == 2  # one per replay-chain link
-    assert not (state / "marks_delta_gen0.parquet").exists()
-    keys = _read_delta(str(state / "marks_delta_gen0.parquet"))
-    assert keys and all("|" in k for k in keys)
-
-    # driver path writes the single-file layout; both read back equal
-    drv = run_crawl(smoke_corpus, seeds,
-                    CrawlSettings(max_depth=1, seen_shards=2),
-                    run_dir=str(tmp_path / "drv"))
-    assert drv.stats["pages_crawled"] > 0
-    dkeys = _read_delta(
-        str(tmp_path / "drv" / "state" / "marks_delta_gen0.parquet"))
-    assert sorted(keys) == sorted(dkeys)
+    runs = {}
+    for name, shards in (("actors", 2), ("inproc", 0)):
+        cfg = CrawlSettings(max_depth=1, seen_shards=2,
+                            frontier_shards=shards)
+        run_crawl(smoke_corpus, seeds, cfg, run_dir=str(tmp_path / name))
+        state = tmp_path / name / "state"
+        assert not list(state.glob("*_delta_gen*.parquet.shard*"))
+        runs[name] = {
+            f.name: _read_delta(str(f))
+            for f in sorted(state.glob("*_delta_gen*.parquet"))}
+    assert runs["actors"] == runs["inproc"]
+    marks = runs["actors"]["marks_delta_gen0.parquet"]
+    assert marks and all("|" in k for k in marks)
 
 
 def test_pool_task_side_routing_matches_pool(ray_session):
@@ -536,17 +539,16 @@ def test_pool_task_side_routing_matches_pool(ray_session):
 
 def test_resume_after_midgeneration_crash_dataplane(smoke_corpus,
                                                     tmp_path):
-    """The same mid-generation-crash resume contract on the SHARDED
-    (data-plane control) path: partial gen partition + stale per-shard
-    delta files for the incomplete generation must be overwritten
-    idempotently, converging to the uninterrupted run."""
+    """The same mid-generation-crash resume contract on the actor
+    placement: partial gen partition + stale delta files for the
+    incomplete generation must be overwritten idempotently, converging
+    to the uninterrupted run."""
     import json
     import shutil
     from pathlib import Path
 
     seeds = corpus.seed_urls(4)
-    cfg = CrawlSettings(max_depth=2, seen_shards=2, frontier_shards=2,
-                        replay_shards=2)
+    cfg = CrawlSettings(max_depth=2, seen_shards=2, frontier_shards=2)
 
     full = run_crawl(smoke_corpus, seeds, cfg,
                      run_dir=str(tmp_path / "full"))
@@ -565,9 +567,9 @@ def test_resume_after_midgeneration_crash_dataplane(smoke_corpus,
         f.unlink()
     shutil.rmtree(Path(part_dir, "results", "gen=2"),
                   ignore_errors=True)
-    # the incomplete generation's per-shard delta files linger on disk
+    # the incomplete generation's delta files linger on disk
     state = Path(part_dir, "state")
-    assert list(state.glob("marks_delta_gen1.parquet.shard*"))
+    assert (state / "marks_delta_gen1.parquet").exists()
 
     resumed = run_crawl(smoke_corpus, seeds, cfg, run_dir=part_dir,
                         resume=True)

@@ -4691,3 +4691,50 @@ def test_grouped_dd_quantiles_accuracy_and_invariance(ray_session):
     rows2 = {r["k"]: r for r in grouped_dd_quantiles(
         ds.repartition(2), "k", "v", [0.5, 0.99], alpha=0.01).take_all()}
     assert rows == rows2
+
+
+def test_merge_join_rejects_overlapping_payload_columns(ray_session):
+    """A payload column named on both sides (or the key named as a
+    payload column) is rejected instead of being overwritten with the
+    other side's nulls."""
+    import ray
+
+    from deepwebharvester_ray.functions.mergejoin import merge_join
+
+    lds = ray.data.from_items([{"k": 1, "v": 1}])
+    rds = ray.data.from_items([{"k": 1, "v": 2}])
+    with pytest.raises(ValueError, match="overlap"):
+        merge_join(lds, rds, "k", ["v"], ["v"])
+    with pytest.raises(ValueError, match="overlap"):
+        merge_join(lds, rds, "k", ["k", "v"], [])
+
+
+def test_jpeg_undefined_table_id_raises_valueerror():
+    """A frame or scan naming a quant/huffman table id that was never
+    declared is a ValueError, not a bare KeyError."""
+    from deepwebharvester_ray.functions.jpeg import jpeg_decode, jpeg_encode
+
+    blob = jpeg_encode(np.full((8, 8), 50, np.uint8))
+    sof = blob.index(b"\xff\xc0")
+    bad_q = bytearray(blob)
+    bad_q[sof + 12] = 3                      # component 1's quant table id
+    with pytest.raises(ValueError, match="undefined quant/huffman table"):
+        jpeg_decode(bytes(bad_q))
+    sos = blob.index(b"\xff\xda")
+    bad_h = bytearray(blob)
+    bad_h[sos + 6] = 0x33                    # component 1's DC/AC table ids
+    with pytest.raises(ValueError, match="undefined quant/huffman table"):
+        jpeg_decode(bytes(bad_h))
+
+
+def test_hll_linear_counting_uses_libm_log():
+    """The small-range branch is m * ln(m / zeros) through libm, the
+    function the SQL oracle's ln() uses."""
+    import math
+
+    from deepwebharvester_ray.functions.sketch import _M, hll_estimate
+
+    regs = np.zeros(_M, np.int64)
+    regs[:37] = 1
+    zeros = _M - 37
+    assert hll_estimate(regs) == float(_M) * math.log(_M / zeros)

@@ -61,7 +61,7 @@ def test_sharded_queue(ray_session):
     q2 = ShardedFrontierQueue(n_shards=3)
     q2.restore_list(snap)
     assert q2.snapshot_list() == snap
-    assert q.dropped() == 0
+    assert q.dropped == 0
 
 
 def test_crawl_budget_mode_defers_not_abandons(ray_session, smoke_corpus, tmp_path):

@@ -121,50 +121,6 @@ def test_seen_pool_sharded(tmp_path):
     assert pool2.contains(["k0", "new1", "absent"]).tolist() == [True, True, False]
 
 
-def test_sharded_replay_matches_sequential(ray_session):
-    """The seed-sharded claims-chain replay is bit-identical to the
-    sequential driver replay (incl. cross-shard content-hash dedup)."""
-    import copy
-
-    from deepwebharvester_ray.config import CrawlSettings
-    from deepwebharvester_ray.state.scheduler import (
-        Candidate,
-        SeedState,
-        replay_generation,
-        replay_generation_sharded,
-    )
-
-    cfg = CrawlSettings(max_pages=3, crawl_delay=1.0)
-    # 5 seeds; hash h0 contended across seeds 0,2,4 — first canonical wins
-    cands = []
-    for sid in range(5):
-        for i in range(4):
-            h = "h0" if i == 0 and sid % 2 == 0 else f"h{sid}-{i}"
-            cands.append(
-                Candidate(
-                    seed_id=sid, url=f"http://s{sid}.onion/p/{i}", depth=0,
-                    blacklisted=(i == 3), fetched=(i != 2), content_hash=h,
-                )
-            )
-    cands.sort(key=lambda c: (c.seed_id, c.url))
-
-    st_a = {sid: SeedState(seed_id=sid, seed_url=f"s{sid}") for sid in range(5)}
-    st_b = copy.deepcopy(st_a)
-
-    seq = replay_generation(list(cands), st_a, {"known"}, cfg)
-    shd = replay_generation_sharded(
-        list(cands), st_b, {"known"}, cfg, n_shards=3
-    )
-    assert shd.status == seq.status
-    assert shd.new_marks == seq.new_marks
-    assert sorted(shd.new_hashes) == sorted(seq.new_hashes)
-    assert shd.accepted == seq.accepted
-    assert shd.propagate == seq.propagate
-    assert {k: v.as_dict() for k, v in st_b.items()} == {
-        k: v.as_dict() for k, v in st_a.items()
-    }
-
-
 def test_cuckoo_overfill_no_false_negatives():
     """Kick-loop failures must never drop a resident key (victim stash)."""
     from deepwebharvester_ray.state.cuckoo import CuckooFilter
