@@ -11,7 +11,7 @@ Common-Crawl-style pages:
 * ``intelligence``  — IOC regexes + threat scoring           (intelligence.py:239-337)
 * ``corpus``        — deterministic synthetic page-corpus generator
 * ``oracle``        — single-process reference-semantics BFS oracle (crawler.py:214-273)
-* ``state``         — sharded seen-set actors (cuckoo filter) + scheduler
+* ``state``         — exact sharded seen-set (sorted 16-byte key digests) + frontier + scheduler
 * ``pipelines``     — the generation-loop crawl pipeline + driver queries
 * ``functions``     — training-data ops: dedup, ANN, text analysis, multimodal
 * ``sinks``         — Parquet (primary) + JSON/CSV/SQLite parity sinks (storage.py)

@@ -15,6 +15,20 @@ try:
 except ImportError:  # pragma: no cover
     yaml = None
 
+# Range of each bounded setting: field → (lower bound, bound exclusive,
+# None allowed).  Checked on every construction, so defaults, YAML, env
+# and explicit overrides all pass through it.
+_LIMITS = {
+    "max_depth": (0, False, False),
+    "max_pages": (0, False, False),
+    "seen_shards": (1, False, False),
+    "frontier_shards": (0, False, True),
+    "max_fetch_per_gen": (1, False, True),
+    "frontier_max_per_seed": (1, False, True),
+    "gen_wallclock_s": (0, True, True),
+    "extract_batch_size": (1, False, False),
+}
+
 
 @dataclass(frozen=True)
 class CrawlSettings:
@@ -42,11 +56,9 @@ class CrawlSettings:
     # Seen-set actor shards per pool, O(cores/4) on a cluster.  Applies to
     # the actor placement only (frontier_shards resolving to N > 0); the
     # in-process placement keeps one in-process shard per seen-set.
+    # Each shard is exact: 16-byte key digests in one sorted array
+    # (state/seen.py).
     seen_shards: int = 4
-    seen_mode: str = "exact"        # "exact" | "cuckoo" (10^10-scale path)
-    seen_capacity: int = 1 << 20    # cuckoo filter capacity PER SHARD — size
-                                    # to expected_keys/shards or the filter
-                                    # saturates and spills to exact sets
     # Priority-queue frontier (state/pqueue.py).  max_fetch_per_gen caps how
     # many URLs each seed schedules per generation (politeness pacing);
     # overflow DEFERS to later generations instead of the reference's
@@ -88,6 +100,17 @@ class CrawlSettings:
     # trace (pinned in test_crawl).  None (default) → no injection.
     chaos_kill_marker: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        for name, (low, exclusive, optional) in _LIMITS.items():
+            v = getattr(self, name)
+            if v is None and optional:
+                continue
+            if v is None or v < low or (exclusive and v == low):
+                raise ValueError(
+                    f"CrawlSettings.{name} must be "
+                    f"{'None or ' if optional else ''}"
+                    f"{'>' if exclusive else '>='} {low}, got {v!r}")
+
 
 def load_settings(
     config_path: Optional[str] = None, **overrides
@@ -124,7 +147,6 @@ def load_settings(
         "DWH_MAX_PAGES": ("max_pages", int),
         "DWH_CRAWL_DELAY": ("crawl_delay", float),
         "DWH_SEEN_SHARDS": ("seen_shards", int),
-        "DWH_SEEN_MODE": ("seen_mode", str),
         "DWH_GEN_WALLCLOCK_S": ("gen_wallclock_s", float),
     }
     env_overrides = {}

@@ -71,8 +71,10 @@ logger = logging.getLogger(__name__)
 
 # The checkpoint manifest's layout version.  Layout 2: one body for both
 # placements, single-file seen-set deltas, ``frontier_shards_resolved``
-# always recorded.  Older manifests are refused on resume.
-MANIFEST_LAYOUT = 2
+# always recorded.  Layout 3: two seen-set settings left CrawlSettings
+# when the seen-set became exact-only, which changes the config digest.
+# Older manifests are refused on resume.
+MANIFEST_LAYOUT = 3
 
 # AUTO placement cutoff: below this many valid seeds the in-process
 # placement wins (actor round-trips cost more than they save; measured in

@@ -322,8 +322,8 @@ class InProcess:
     def __init__(self, cfg: CrawlSettings) -> None:
         self.frontier = FrontierQueue(max_per_seed=cfg.frontier_max_per_seed)
         self.frontier_shards = [self.frontier]
-        self.marks = [SeenShard(cfg.seen_mode, cfg.seen_capacity)]
-        self.hashes = [SeenShard(cfg.seen_mode, cfg.seen_capacity)]
+        self.marks = [SeenShard()]
+        self.hashes = [SeenShard()]
 
     def pop(self, budget) -> list:
         return [self.frontier.pop_budget(budget)]
@@ -356,9 +356,7 @@ class OnActors:
             n_shards, max_per_seed=cfg.frontier_max_per_seed)
         self.frontier_shards = self.frontier.shard_handles
         self.marks, self.hashes = (
-            SeenSetPool(cfg.seen_shards, cfg.seen_mode,
-                        cfg.seen_capacity).shard_handles
-            for _ in range(2))
+            SeenSetPool(cfg.seen_shards).shard_handles for _ in range(2))
         self._tasks: dict = {}
 
     def pop(self, budget) -> list:

@@ -145,12 +145,10 @@ def test_resume_config_mismatch_rejected(smoke_corpus, tmp_path):
         )
 
 
-def test_conformance_cuckoo_mode(smoke_corpus, tmp_path):
-    """The approximate-membership (cuckoo) seen-set path reproduces the
-    exact trace at small scale (exact-confirm on positives)."""
+def test_conformance_page_budget_depth2(smoke_corpus, tmp_path):
+    """A per-seed page budget at depth 2 reproduces the oracle trace."""
     seeds = corpus.seed_urls(4)
-    cfg = CrawlSettings(max_depth=2, max_pages=8, seen_shards=2,
-                        seen_mode="cuckoo")
+    cfg = CrawlSettings(max_depth=2, max_pages=8, seen_shards=2)
     run = run_crawl(smoke_corpus, seeds, cfg, run_dir=str(tmp_path / "run"))
     trace = oracle.crawl_oracle(oracle.load_corpus_map(smoke_corpus), seeds, cfg)
     assert run.stats["pages_crawled"] > 0
@@ -222,9 +220,7 @@ def test_resume_after_midgeneration_crash(smoke_corpus, tmp_path):
     assert t_full == t_res
 
 
-@pytest.mark.parametrize("seen_mode", ["exact", "cuckoo"])
-def test_chaos_sigkill_replay_mid_generation(smoke_corpus, tmp_path,
-                                             seen_mode):
+def test_chaos_sigkill_replay_mid_generation(smoke_corpus, tmp_path):
     """VERDICT r03 item 8: TWO SIGKILLs land mid-generation on the
     actor placement (frontier_shards=4) — the replay
     task dies after computing its results but before its checkpoint
@@ -241,22 +237,21 @@ def test_chaos_sigkill_replay_mid_generation(smoke_corpus, tmp_path,
     from pathlib import Path
 
     seeds = corpus.seed_urls(5)
-    base = dict(max_depth=2, seen_shards=2,
-                frontier_shards=4, seen_mode=seen_mode)
+    base = dict(max_depth=2, seen_shards=2, frontier_shards=4)
 
     clean = run_crawl(smoke_corpus, seeds, CrawlSettings(**base),
                       run_dir=str(tmp_path / "clean"),
                       track_fetched_urls=True)
 
-    marker = tmp_path / f"chaos_marker_{seen_mode}"
+    marker = tmp_path / "chaos_marker"
     chaos = run_crawl(smoke_corpus, seeds,
                       CrawlSettings(**base, chaos_kill_marker=str(marker)),
                       run_dir=str(tmp_path / "chaos"),
                       track_fetched_urls=True)
 
     # both SIGKILLs actually fired (replay-task kill + commit-task kill)
-    assert (tmp_path / f"chaos_marker_{seen_mode}.replay").exists()
-    assert (tmp_path / f"chaos_marker_{seen_mode}.commit").exists()
+    assert (tmp_path / "chaos_marker.replay").exists()
+    assert (tmp_path / "chaos_marker.commit").exists()
     assert chaos.stats == clean.stats
     # zero re-fetches: per-generation fetch sets identical to the twin
     # (marks scope per SEED — the same url may appear across gens for
@@ -336,6 +331,33 @@ def test_load_settings_rejects_bad_config(tmp_path):
         load_settings(str(bad))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_depth", -1), ("max_pages", -1), ("seen_shards", 0),
+    ("frontier_shards", -2), ("max_fetch_per_gen", 0),
+    ("frontier_max_per_seed", 0), ("gen_wallclock_s", 0.0),
+    ("extract_batch_size", 0),
+])
+def test_settings_reject_out_of_range(tmp_path, monkeypatch, field, value):
+    """An out-of-range setting fails with a ValueError naming the field,
+    whichever layer sets it (max_fetch_per_gen=0 used to spin through
+    empty generations, seen_shards=0 divided by zero, frontier_shards=-2
+    built no frontier actors)."""
+    from deepwebharvester_ray.config import load_settings
+
+    with pytest.raises(ValueError, match=field):
+        CrawlSettings(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        load_settings(**{field: value})
+    yml = tmp_path / "cfg.yaml"
+    yml.write_text(f"crawler:\n  {field}: {value}\n")
+    with pytest.raises(ValueError, match=field):
+        load_settings(str(yml))
+    if field == "seen_shards":
+        monkeypatch.setenv("DWH_SEEN_SHARDS", "0")
+        with pytest.raises(ValueError, match=field):
+            load_settings()
+
+
 def test_frontier_auto_shard_gate():
     """frontier_shards=None is AUTO: driver queue below the seed cutoff,
     actor shards at/above it; explicit 0 forces driver, N forces N."""
@@ -389,10 +411,13 @@ def test_resume_pins_frontier_layout(smoke_corpus, tmp_path, monkeypatch):
     assert json.loads(mpath.read_text())["frontier_shards_resolved"] == 0
 
 
-def test_resume_rejects_layout1_manifest(smoke_corpus, tmp_path):
-    """A manifest without ``"layout": 2`` (written before the
-    single-body engine) is refused with an error naming the layout,
-    not the misleading config/seeds mismatch."""
+@pytest.mark.parametrize("old_layout", [1, 2])
+def test_resume_rejects_old_layout_manifest(smoke_corpus, tmp_path,
+                                            old_layout):
+    """A manifest of an older layout — 1 has no ``"layout"`` key
+    (written before the single-body engine), 2 predates the exact-only
+    seen-set settings — is refused with an error naming the layout, not
+    the misleading config/seeds mismatch."""
     import json
     from pathlib import Path
 
@@ -402,10 +427,13 @@ def test_resume_rejects_layout1_manifest(smoke_corpus, tmp_path):
     run_crawl(smoke_corpus, seeds, cfg, run_dir=rd)
     mpath = Path(rd) / "manifest.json"
     manifest = json.loads(mpath.read_text())
-    assert manifest["layout"] == 2
-    del manifest["layout"]
+    assert manifest["layout"] == 3
+    if old_layout == 1:
+        del manifest["layout"]
+    else:
+        manifest["layout"] = old_layout
     mpath.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="layout 1"):
+    with pytest.raises(ValueError, match=f"layout {old_layout}"):
         run_crawl(smoke_corpus, seeds, cfg, run_dir=rd, resume=True)
 
 
@@ -527,14 +555,14 @@ def test_pool_task_side_routing_matches_pool(ray_session):
         pool_contains, pool_insert)
     from deepwebharvester_ray.state.seen import SeenSetPool
 
-    pool = SeenSetPool(3, "exact")
+    pool = SeenSetPool(3)
     keys = [f"k{i}" for i in range(50)]
-    pool_insert(pool.shard_handles, keys[:30])
+    assert pool_insert(pool.shard_handles, keys[:30]) == 30
     got = pool_contains(pool.shard_handles, keys)
     want = pool.contains(keys)
     assert got.tolist() == want.tolist()
     assert got[:30].all() and not got[30:].any()
-    assert pool.size() == 30
+    assert pool.insert(keys) == 20
 
 
 def test_resume_after_midgeneration_crash_dataplane(smoke_corpus,

@@ -14,7 +14,7 @@ from deepwebharvester_ray.functions.dedup import (
     token_set,
 )
 from deepwebharvester_ray.intelligence import classify_threat, extract_iocs
-from deepwebharvester_ray.state.cuckoo import CuckooFilter
+from deepwebharvester_ray.state.seen import SeenShard
 from deepwebharvester_ray.urlops import canonicalize_url, url_hash64
 
 URLS = st.builds(
@@ -103,15 +103,20 @@ def test_intelligence_total_functions(text):
     assert th["risk_label"] in {"Low", "Medium", "High", "Critical"}
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.text(min_size=1, max_size=30), min_size=1, max_size=200,
-                unique=True))
-def test_cuckoo_no_false_negatives(keys):
-    f = CuckooFilter(capacity=4096)
-    hashes = [url_hash64(k) for k in keys]
-    for h in hashes:
-        assert f.add(h)
-    assert all(f.contains(h) for h in hashes)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.text(max_size=12), max_size=60), max_size=6))
+def test_seen_shard_matches_python_set(batches):
+    """SeenShard answers exactly as a Python set fed the same batches:
+    check_and_insert is True on a key's first occurrence only."""
+    shard, ref = SeenShard(), set()
+    for keys in batches:
+        assert shard.contains(keys).tolist() == [k in ref for k in keys]
+        want = []
+        for k in keys:
+            want.append(k not in ref)
+            ref.add(k)
+        assert shard.check_and_insert(keys).tolist() == want
+    assert shard.size() == len(ref)
 
 
 @settings(max_examples=50, deadline=None)
@@ -470,34 +475,6 @@ def test_surt_deterministic_and_sortable(url):
     # same-host urls share the key prefix up to ')'
     host_part = k.split(")", 1)[0]
     assert host_part == host_part.lower()
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=2**63 - 1),
-                min_size=1, max_size=400, unique=True))
-def test_cuckoo_bulk_add_never_false_negative(keys):
-    """bulk_add's vectorized placement: every key it accepts answers
-    True afterwards (via BOTH contains and contains_batch), and the
-    membership answers agree with a scalar-built filter over the same
-    keys."""
-    import numpy as np
-
-    arr = np.array(keys, np.uint64)
-    bulk = CuckooFilter(capacity=1024)
-    failed = bulk.bulk_add(arr)
-    hits = bulk.contains_batch(arr)
-    assert int(hits.sum()) >= len(arr) - failed
-    for k, hit in zip(keys, hits):
-        assert bulk.contains(int(k)) == bool(hit)
-    if failed == 0:
-        scalar = CuckooFilter(capacity=1024)
-        for k in keys:
-            assert scalar.add(int(k))
-        probe = np.array(
-            [(k * 0x9E3779B97F4A7C15) % 2**64 for k in keys[:100]],
-            np.uint64)
-        assert (bulk.contains_batch(probe)
-                == scalar.contains_batch(probe)).all()
 
 
 @settings(max_examples=40, deadline=None)

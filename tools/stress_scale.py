@@ -9,6 +9,9 @@ process so ru_maxrss is a clean per-run peak).
   python tools/stress_scale.py frontier --seeds 10000 --driver
       → sharded vs driver-queue control plane on the same 80k-page
         corpus: driver RSS drops when links stop transiting the driver
+  python tools/stress_scale.py seen --n 10000000 --shards 4
+      → exact seen-set envelope: 16 bytes/key, 0 false positives on a
+        disjoint probe range
   python tools/stress_scale.py highcard --n 10000000
       → 10^7-distinct-key grouped_agg exercises the native final merge
         (functions/agg.py SINGLE_BLOCK_CUTOFF switch) without OOM
@@ -126,88 +129,49 @@ def run_frontier(seeds: int, shards: int | None, sf_dir: str,
     }
 
 
-def run_seen(n: int, shards: int = 8) -> dict:
-    """North-rule seen-set memory envelope: load n (default 10^8)
-    distinct url hashes across cuckoo shard actors via the vectorized
-    bulk path, record bytes/key, load factor, spill/stash counts,
-    check-and-insert throughput, and the measured FP rate on a fresh
-    disjoint key range (keys = bijective splitmix of arange, so ranges
-    never collide)."""
-    import numpy as np
+def run_seen(n: int, shards: int = 8, batch: int = 500_000) -> dict:
+    """Seen-set memory envelope: load n distinct url-mark keys
+    (``"sid|url"`` strings) in batches into a SeenSetPool of SeenShard
+    actors, then report stored bytes/key, the load wall time, false
+    negatives over every inserted key and false positives over a
+    disjoint probe range of n keys — both counts must be 0."""
     import ray
 
-    n_per = n // shards
+    from deepwebharvester_ray.state.seen import SeenSetPool
 
-    @ray.remote(num_cpus=1)
-    class Shard:
-        def __init__(self, cap: int):
-            from deepwebharvester_ray.state.cuckoo import CuckooFilter
+    def keys(start: int, count: int) -> list:
+        return [f"{i % 4096}|http://h{i % 997}.onion/p/{i}"
+                for i in range(start, start + count)]
 
-            self.f = CuckooFilter(cap)
-            self.spilled = 0  # exact-set analog: keys the filter refused
+    def hits(start: int, count: int) -> int:
+        end = start + count
+        return sum(int(pool.contains(keys(off, min(batch, end - off))).sum())
+                   for off in range(start, end, batch))
 
-        def load(self, start: int, count: int,
-                 batch: int = 2_000_000) -> dict:
-            from deepwebharvester_ray.state.cuckoo import _mix_vec
-
-            t0 = time.monotonic()
-            for off in range(0, count, batch):
-                m = min(batch, count - off)
-                keys = _mix_vec(np.arange(start + off, start + off + m,
-                                          dtype=np.uint64))
-                self.spilled += self.f.bulk_add(keys)
-            return {
-                "wall_s": time.monotonic() - t0,
-                "inserted": len(self.f),
-                "spilled": self.spilled,
-                "stash": len(self.f._stash),
-                "load_factor": self.f.load_factor,
-                "table_bytes": int(self.f._table.nbytes),
-            }
-
-        def check(self, start: int, count: int) -> dict:
-            from deepwebharvester_ray.state.cuckoo import _mix_vec
-
-            keys = _mix_vec(np.arange(start, start + count,
-                                      dtype=np.uint64))
-            t0 = time.monotonic()
-            hits = int(self.f.contains_batch(keys).sum())
-            return {"wall_s": time.monotonic() - t0, "hits": hits,
-                    "n": count}
-
-    actors = [Shard.remote(n_per) for _ in range(shards)]
+    pool = SeenSetPool(shards)
+    handles = pool.shard_handles
+    ray.get([h.size.remote() for h in handles])  # actor start-up
     t0 = time.monotonic()
-    loads = ray.get([a.load.remote(i * n_per, n_per)
-                     for i, a in enumerate(actors)])
+    inserted = sum(pool.insert(keys(off, min(batch, n - off)))
+                   for off in range(0, n, batch))
     load_wall = time.monotonic() - t0
+    stored = sum(ray.get([h.size.remote() for h in handles]))
+    stored_bytes = sum(ray.get([h.nbytes.remote() for h in handles]))
 
-    # positive checks (throughput) on a sample of inserted keys
-    pos = ray.get([a.check.remote(i * n_per, min(n_per, 2_000_000))
-                   for i, a in enumerate(actors)])
-    # FP rate: fresh disjoint range (beyond every inserted range)
-    neg = ray.get([a.check.remote(n + i * 2_000_000, 2_000_000)
-                   for i, a in enumerate(actors)])
-
-    total_inserted = sum(ld["inserted"] for ld in loads)
-    total_spilled = sum(ld["spilled"] for ld in loads)
-    table_bytes = sum(ld["table_bytes"] for ld in loads)
-    neg_n = sum(x["n"] for x in neg)
-    neg_hits = sum(x["hits"] for x in neg)
-    pos_n = sum(x["n"] for x in pos)
-    pos_missing = sum(x["n"] - x["hits"] for x in pos)
+    t0 = time.monotonic()
+    present = hits(0, n)
+    probe_wall = time.monotonic() - t0
+    false_pos = hits(n, n)  # keys n..2n-1: never inserted
     return {
-        "case": "seen", "keys": n, "shards": shards,
-        "inserted": total_inserted, "spilled": total_spilled,
-        "stash_total": sum(ld["stash"] for ld in loads),
-        "load_factor": round(
-            sum(ld["load_factor"] for ld in loads) / shards, 4),
-        "bytes_per_key": round(table_bytes / max(total_inserted, 1), 3),
+        "case": "seen", "keys": n, "shards": shards, "batch": batch,
+        "inserted": inserted, "stored": stored,
+        "bytes_per_key": round(stored_bytes / max(stored, 1), 3),
+        "load_wall_s": round(load_wall, 2),
         "insert_keys_per_s": int(n / load_wall),
-        "check_keys_per_s": int(
-            pos_n / max(max(x["wall_s"] for x in pos), 1e-9)),
-        "false_negatives": pos_missing,  # must be 0
-        "fp_rate": round(neg_hits / neg_n, 7),
-        "wall_s": round(load_wall, 2),
+        "probe_keys_per_s": int(n / probe_wall),
+        "false_negatives": n - present,  # must be 0
+        "false_positives": false_pos,    # must be 0
+        "probe_keys": n,
         "driver_rss_mb": round(_rss_mb(), 1),
     }
 
