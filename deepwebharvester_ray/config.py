@@ -53,11 +53,10 @@ class CrawlSettings:
     robots_rules: Optional[Dict[str, str]] = None
 
     # ── engine knobs (no reference equivalent — Ray-scale parameters) ──────
-    # Seen-set actor shards per pool, O(cores/4) on a cluster.  Applies to
-    # the actor placement only (frontier_shards resolving to N > 0); the
-    # in-process placement keeps one in-process shard per seen-set.
-    # Each shard is exact: 16-byte key digests in one sorted array
-    # (state/seen.py).
+    # Feeds only the AUTO shard count (frontier_shards=None at or above
+    # FRONTIER_AUTO_SEEDS seeds → max(4, seen_shards) shards).  The seen
+    # sets live inside the control-state shards (crawl_plane.CrawlShard),
+    # so an explicit frontier_shards=N means N shards whatever this says.
     seen_shards: int = 4
     # Priority-queue frontier (state/pqueue.py).  max_fetch_per_gen caps how
     # many URLs each seed schedules per generation (politeness pacing);
@@ -78,12 +77,13 @@ class CrawlSettings:
     gen_wallclock_s: Optional[float] = None
     # Where the crawl's control state lives, resolved once per run
     # (pipelines.crawl.frontier_shard_count) and pinned in the checkpoint
-    # manifest: N → the actor placement (ShardedFrontierQueue of N shards
-    # plus two SeenSetPools of seen_shards actors; every generation step
-    # runs as a Ray task, and links flow fetch block → frontier shard,
-    # never through the driver — the 10^10-frontier path, SURVEY §4);
-    # 0 → the in-process placement (FrontierQueue plus one in-process
-    # seen shard per set; the same steps called directly); None
+    # manifest: N → the actor placement (N CrawlShard actors, each a
+    # frontier slice plus its seeds' URL marks and a slice of the content
+    # hashes — N shards, N actors; pop + mark filter is one actor call,
+    # every other step runs as a Ray task, and links flow fetch block →
+    # shard, never through the driver — the 10^10-frontier path, SURVEY
+    # §4); 0 → the in-process placement (one in-process CrawlShard; the
+    # same steps called directly); None
     # (default) → AUTO: in-process below FRONTIER_AUTO_SEEDS seeds
     # (actor round-trips cost more than they save on a small run),
     # actors at or above it.  Both placements run the same generation

@@ -255,8 +255,13 @@ def corpus_from_documents(sf_dir: str, factor: int = 1) -> str:
 
 
 def corpus_digest(corpus_dir: str) -> str:
-    """Cheap lineage digest of a corpus dir (file names + sizes)."""
-    parts = []
-    for p in sorted(Path(corpus_dir).rglob("*.parquet")):
-        parts.append(f"{p.relative_to(corpus_dir)}:{p.stat().st_size}")
+    """Cheap lineage digest of a corpus dir (file names + sizes).  A
+    directory with no parquet files is refused: its digest would be the
+    empty-input one, shared by every missing or empty directory."""
+    files = sorted(Path(corpus_dir).rglob("*.parquet"))
+    if not files:
+        raise ValueError(
+            f"corpus directory {corpus_dir!r} holds no parquet files")
+    parts = [f"{p.relative_to(corpus_dir)}:{p.stat().st_size}"
+             for p in files]
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]

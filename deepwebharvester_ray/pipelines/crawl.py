@@ -3,7 +3,7 @@
 Every generation runs one body, :func:`_generation`, over the steps in
 pipelines/crawl_plane.py:
 
-    pop → prep (mark filter + blacklist/robots, per frontier shard)
+    pop + prep (mark filter + blacklist/robots, one call per shard)
       → fetch+extract: read_parquet(corpus buckets of the fetch hosts)
                          → map_batches(fetch_extract_task)   ← url∈fetch-set filter + HTML extract
       → meta → replay (state.scheduler, reference control flow)
@@ -62,7 +62,6 @@ from .crawl_plane import (
     _commit,
     _expand,
     _fetch_hashes,
-    _prep,
     _replay,
     _restore_delta,
 )
@@ -76,10 +75,13 @@ logger = logging.getLogger(__name__)
 # Older manifests are refused on resume.
 MANIFEST_LAYOUT = 3
 
-# AUTO placement cutoff: below this many valid seeds the in-process
-# placement wins (actor round-trips cost more than they save; measured in
-# BASELINE.md's 10k-seed frontier stress), at or above it control state
-# moves onto actors (frontier_shards=None picks per this)
+# AUTO placement cutoff: at or above this many valid seeds the control
+# state moves onto actors (frontier_shards=None picks per this).  The
+# same depth-1 crawl on both placements (4 shards, Ray num_cpus=2, one
+# warm session, 1-core box, loadavg 2.3-4.1) took, in process / on
+# actors: 6.28-7.18 s / 9.32-9.97 s at 2,048 seeds and 20.81-23.73 s /
+# 24.38-24.46 s at 8,192.  Actors still lose at both sizes; the gate
+# stays until the actor placement keeps its start-up out of the call.
 FRONTIER_AUTO_SEEDS = 5_000
 
 
@@ -94,16 +96,12 @@ def frontier_shard_count(cfg: CrawlSettings, n_valid_seeds: int) -> int:
     return cfg.frontier_shards
 
 
-# The frontier is broadcast as a SORTED uint64 array of url_hash64 values
-# (columnar, ~8 bytes/URL — the 10^10-frontier representation from SURVEY
-# §4: "frontier kept columnar, never a Python set"); the task ships only
-# the ObjectRef and the worker-local broadcast cache (broadcast.cached_get)
-# deserializes it once per worker.  Plain TASK pool (no actor ramp-up;
-# warm workers) measures ~5s faster per generation than an actor pool on a
-# fresh session.  Membership is a vectorized np.searchsorted per batch.  A
-# 64-bit hash collision can only admit an extra corpus row into the fetch
-# (harmless: the control-plane replay consumes only scheduled URLs), never
-# drop a scheduled one.
+# The fetch set is broadcast as a SORTED uint64 array of url_hash64
+# values (~8 bytes/URL); the worker-local cache (broadcast.cached_get)
+# deserializes it once per worker, and membership is one np.searchsorted
+# per batch.  A 64-bit hash collision can only admit an extra corpus row
+# into the fetch (the replay consumes only scheduled URLs), never drop a
+# scheduled one.
 
 
 def broadcast_frontier_hashes(urls) -> "object":
@@ -372,11 +370,10 @@ def _generation(
         sid for sid, st in states.items()
         if st.exhausted or st.pages >= cfg.max_pages
     )
-    # one prep per frontier shard (a single whole-generation prep would
-    # itself be the bottleneck at scale)
-    preps = [pl.run(_prep, blacklist, robots, inactive, pl.marks, part,
-                    num_returns=3)
-             for part in pl.pop(pop_budget)]
+    # pop + prep is one call per shard, against that shard's own marks
+    # (a single whole-generation prep would itself be the bottleneck at
+    # scale)
+    preps = pl.pop_prep(pop_budget, blacklist, robots, inactive)
     infos = pl.get([p[0] for p in preps])
     smalls = [i["fetch_urls_small"] for i in infos]
     small = (None if None in smalls
@@ -404,12 +401,11 @@ def _generation(
         fetched_urls_per_gen.append(set(pl.get(urls)))
 
     counters, new_states, accepted, propagate, mark_keys, new_hashes = pl.run(
-        _replay, meta, states, cfg, seed_delays, pl.hashes,
+        _replay, meta, states, cfg, seed_delays, pl.shards,
         str(state_root / f"marks_delta_gen{gen}.parquet"),
         str(state_root / f"hashes_delta_gen{gen}.parquet"),
         *[p[2] for p in preps], num_returns=6)
-    committed = pl.run(_commit, cfg, pl.marks, pl.hashes, mark_keys,
-                       new_hashes)
+    committed = pl.run(_commit, cfg, pl.shards, mark_keys, new_hashes)
     counters, new_states, _ = pl.get([counters, new_states, committed])
     states.update(new_states)
     gm.success = counters.get("success", 0)
@@ -449,8 +445,7 @@ def _generation(
             )
         out_ds.write_parquet(str(gen_results_dir))
 
-    if pl.get(pl.run(_expand, cfg.max_depth, propagate, pl.frontier_shards,
-                     *blocks)):
+    if pl.get(pl.run(_expand, cfg.max_depth, propagate, pl.shards, *blocks)):
         pl.frontier.commit_staged()
     return digest
 
@@ -478,6 +473,11 @@ def run_crawl(
     from ..corpus import corpus_digest
 
     cfg = cfg or CrawlSettings()
+    if not any(Path(corpus_dir).glob("host_bucket=*")):
+        # a wrong path would otherwise crawl as every page failed
+        raise ValueError(
+            f"corpus directory {corpus_dir!r} has no host_bucket=* "
+            "partitions")
     run_dir = run_dir or f"/tmp/dwh_run_{int(time.time() * 1e6)}"
     run_path = Path(run_dir)
     results_root = run_path / "results"
@@ -542,15 +542,14 @@ def run_crawl(
             last = complete[-1]
             start_gen = last["generation"] + 1
             # replay the per-generation seen-set deltas 0..last (on the
-            # actor placement one task per file: keys never transit the
-            # driver — at a 10^10 frontier the cumulative delta set is
-            # the frontier itself)
+            # actor placement one task per generation: keys never
+            # transit the driver — at a 10^10 frontier the cumulative
+            # delta set is the frontier itself)
             pl.get([
-                pl.run(_restore_delta, shards,
-                       str(state_root / f"{kind}_delta_gen{g}.parquet"))
+                pl.run(_restore_delta, pl.shards,
+                       str(state_root / f"marks_delta_gen{g}.parquet"),
+                       str(state_root / f"hashes_delta_gen{g}.parquet"))
                 for g in range(start_gen)
-                for kind, shards in (("marks", pl.marks),
-                                     ("hashes", pl.hashes))
             ])
             states = {
                 int(k): SeedState.from_dict(v)

@@ -1,12 +1,14 @@
-"""The crawl's generation steps, and the two places its control state lives.
+"""The crawl's control-state shard, its generation steps, and the two
+places the shards live.
 
-Every generation of ``pipelines.crawl.run_crawl`` runs one body
-(``crawl._generation``) over the step functions defined here:
+Each :class:`CrawlShard` holds its seeds' frontier entries (``seed_id %
+n``), those seeds' URL marks (a ``"sid|url"`` key routes by its sid),
+and a digest-routed slice of the content-hash set.  Every generation of
+``pipelines.crawl.run_crawl`` runs one body (``crawl._generation``):
 
-* :func:`_prep` — one call per frontier shard over that shard's popped
-  entries: the mark filter against the seen-set, then the
-  blacklist/robots flags.  Returns small counters plus the distinct
-  fetch hosts, the shard's fetch-URL hashes, and its candidate table.
+* :meth:`CrawlShard.pop_prep` — one call per shard: the budgeted pop,
+  the mark filter against the shard's own marks, then the
+  blacklist/robots flags.  It reads only its own shard.
 * :func:`_fetch_hashes` — the generation's fetch-membership arrays and
   its lineage digest.
 * :func:`_build_meta` — the (url hash → content hash) lookup from the
@@ -14,24 +16,25 @@ Every generation of ``pipelines.crawl.run_crawl`` runs one body
 * :func:`_replay` — the reference control flow (the UNCHANGED
   ``state.scheduler.replay_generation`` core, one call per generation)
   in canonical order, plus the generation's checkpoint delta files.
-* :func:`_commit` — the seen-set inserts, after the replay returned.
+* :func:`_commit` — the mark and hash inserts, after the replay
+  returned.
 * :func:`_build_accept_arrays` — the results-write filter's broadcast.
 * :func:`_expand` — propagated pages' links staged onto their frontier
   shards, straight from the fetched blocks.
 * :func:`_restore_delta` — the resume-side seen-set restore.
 
-A placement says where the control state lives and how a step is
-called; the generation body never branches on it:
+A placement says where the shards live and how a step is called; the
+generation body never branches on it:
 
-* :class:`InProcess` — a ``FrontierQueue`` plus one in-process
-  ``SeenShard`` for marks and one for content hashes.  Steps are plain
+* :class:`InProcess` — one in-process ``CrawlShard``.  Steps are plain
   calls; ObjectRef arguments are resolved first, as Ray resolves a
   task's arguments.
-* :class:`OnActors` — a ``ShardedFrontierQueue`` plus two
-  ``SeenSetPool``\\ s.  Steps run as ``num_cpus=0`` Ray tasks whose
-  inputs and outputs are ObjectRefs, so the driver holds only counters,
-  per-seed states, the distinct fetch hosts and — below the
-  scanner-filter cap — the fetch URL list.
+* :class:`OnActors` — one ``CrawlShard`` actor per shard, behind a
+  ``ShardedFrontierQueue``: N shards start N actors.  Steps run as
+  ``num_cpus=0`` Ray tasks whose inputs and outputs are ObjectRefs, so
+  the driver holds only counters, per-seed states, the distinct fetch
+  hosts and — below the scanner-filter cap — the fetch URL list.  No
+  actor method calls another actor.
 
 Retry safety (actor placement): mid-generation tasks are pure, so a task
 SIGKILLed and retried by Ray recomputes the same outputs from the same
@@ -43,7 +46,7 @@ are idempotent, so a killed-and-retried commit is harmless too.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -53,9 +56,9 @@ import pyarrow.parquet as pq
 from ..config import CrawlSettings
 from ..corpus import host_bucket_of
 from ..state import call_shards
-from ..state.pqueue import FrontierQueue, ShardedFrontierQueue
+from ..state.pqueue import ShardedFrontierQueue, _FrontierShard
 from ..state.scheduler import BLACKLISTED, Candidate, replay_generation
-from ..state.seen import SeenSetPool, SeenShard, pool_contains, pool_insert
+from ..state.seen import SeenShard, key_digests, pool_contains, pool_insert
 from ..urlops import batch_url_hash64, get_host, is_blacklisted
 
 # A generation's fetch-URL list goes into the parquet reader's ``isin``
@@ -75,49 +78,71 @@ def _read_delta(path: str) -> List[str]:
     return pq.read_table(path).column("key").to_pylist()
 
 
-# ── generation steps ─────────────────────────────────────────────────────────
+# ── the control-state shard and the generation steps ─────────────────────────
 
 
-def _prep(blacklist, robots, inactive_sids: frozenset, marks_shards, pop_part):
-    """Candidate preparation for one frontier shard's popped entries.
+class CrawlShard(_FrontierShard):
+    """One shard of the crawl's control state: its seeds' frontier
+    entries, their URL marks, and a digest-routed slice of the
+    content-hash set."""
 
-    Returns ``(info, fetch_hb, candidates)``; the driver materializes only
-    ``info``: this shard's counters, its distinct fetch HOSTS (partition
-    pruning; bounded by host cardinality) and — iff ≤ :data:`SCANNER_CAP`
-    — its fetch URL list.  ``fetch_hb`` is (url hashes, host buckets) of
-    the fetch URLs; ``candidates`` is the (sid, depth, url, black, robots)
-    table of the active candidates in canonical order."""
-    entries = sorted(pop_part)  # canonical (sid, depth, url)
-    marked = pool_contains(marks_shards, [f"{s}|{u}" for s, _, u in entries])
-    cands = [e for e, m in zip(entries, marked) if not m]
-    active = [e for e in cands if e[0] not in inactive_sids]
+    def __init__(self, max_per_seed: Optional[int] = None) -> None:
+        super().__init__(max_per_seed)
+        self.marks, self.hashes = SeenShard(), SeenShard()
 
-    black = [is_blacklisted(u, blacklist) for _, _, u in active]
-    robots_hits = robots.blocked_set(
-        {e[2] for e, b in zip(active, black) if not b})
-    rob = [(not b) and (e[2] in robots_hits) for e, b in zip(active, black)]
-    fetch_urls = sorted({
-        e[2] for e, b, r in zip(active, black, rob) if not (b or r)})
-    hosts = [get_host(u) for u in fetch_urls]
-    info = {
-        "already": int(marked.sum()),
-        "aband_pre": len(cands) - len(active),
-        "n_candidates": len(cands),
-        "n_fetch": len(fetch_urls),
-        "hosts": sorted(set(hosts)),
-        "fetch_urls_small": (
-            fetch_urls if len(fetch_urls) <= SCANNER_CAP else None),
-    }
-    candidates = pa.table({
-        "sid": pa.array([e[0] for e in active], pa.int32()),
-        "depth": pa.array([e[1] for e in active], pa.int32()),
-        "url": pa.array([e[2] for e in active], pa.string()),
-        "black": pa.array(black, pa.bool_()),
-        "robots": pa.array(rob, pa.bool_()),
-    })
-    fetch_hb = (batch_url_hash64(fetch_urls),
-                np.array([host_bucket_of(h) for h in hosts], np.int32))
-    return info, fetch_hb, candidates
+    def pop_prep(self, budget, blacklist, robots, inactive_sids):
+        """Pop this shard's budgeted entries and prepare the candidates:
+        the mark filter against this shard's marks, then the
+        blacklist/robots flags.
+
+        Returns ``(info, fetch_hb, candidates)``; the driver materializes
+        only ``info``: the counters, the distinct fetch HOSTS (partition
+        pruning; bounded by host cardinality) and — iff ≤
+        :data:`SCANNER_CAP` — the fetch URL list.  ``fetch_hb`` is (url
+        hashes, host buckets) of the fetch URLs; ``candidates`` is the
+        (sid, depth, url, black, robots) table of the active candidates
+        in canonical order."""
+        entries = self.pop_budget(budget)  # canonical (sid, depth, url)
+        marked = self.marks.contains([f"{s}|{u}" for s, _, u in entries])
+        cands = [e for e, m in zip(entries, marked) if not m]
+        active = [e for e in cands if e[0] not in inactive_sids]
+
+        black = [is_blacklisted(u, blacklist) for _, _, u in active]
+        robots_hits = robots.blocked_set(
+            {e[2] for e, b in zip(active, black) if not b})
+        rob = [(not b) and (e[2] in robots_hits)
+               for e, b in zip(active, black)]
+        fetch_urls = sorted({
+            e[2] for e, b, r in zip(active, black, rob) if not (b or r)})
+        hosts = [get_host(u) for u in fetch_urls]
+        info = {
+            "already": int(marked.sum()),
+            "aband_pre": len(cands) - len(active),
+            "n_candidates": len(cands),
+            "n_fetch": len(fetch_urls),
+            "hosts": sorted(set(hosts)),
+            "fetch_urls_small": (
+                fetch_urls if len(fetch_urls) <= SCANNER_CAP else None),
+        }
+        candidates = pa.table({
+            "sid": pa.array([e[0] for e in active], pa.int32()),
+            "depth": pa.array([e[1] for e in active], pa.int32()),
+            "url": pa.array([e[2] for e in active], pa.string()),
+            "black": pa.array(black, pa.bool_()),
+            "robots": pa.array(rob, pa.bool_()),
+        })
+        fetch_hb = (batch_url_hash64(fetch_urls),
+                    np.array([host_bucket_of(h) for h in hosts], np.int32))
+        return info, fetch_hb, candidates
+
+    def insert_marks(self, keys) -> int:
+        return self.marks.insert(keys)
+
+    def contains_hash(self, keys) -> np.ndarray:
+        return self.hashes.contains(keys)
+
+    def insert_hash(self, keys) -> int:
+        return self.hashes.insert(keys)
 
 
 def _fetch_hashes(groups: List[List[int]], *pairs):
@@ -155,7 +180,7 @@ def _build_meta(*blocks):
     return (h[order], hashes[order]), len(urls), urls
 
 
-def _replay(meta, states: dict, cfg: CrawlSettings, delays, hash_shards,
+def _replay(meta, states: dict, cfg: CrawlSettings, delays, shards,
             marks_delta_path: str, hashes_delta_path: str, *cand_tables):
     """The generation's replay: restores the canonical (sid, depth, url)
     order across the frontier shards' candidate tables, attaches fetch
@@ -191,7 +216,7 @@ def _replay(meta, states: dict, cfg: CrawlSettings, delays, hash_shards,
             urls, black, robots, fetched, idx)
     ]
     cand_hashes = sorted({c.content_hash for c in cands if c.content_hash})
-    known = pool_contains(hash_shards, cand_hashes)
+    known = pool_contains(shards, cand_hashes, "contains_hash")
     known_hashes = {h for h, k in zip(cand_hashes, known) if k}
 
     res = replay_generation(cands, states, known_hashes, cfg, delays)
@@ -247,19 +272,30 @@ def _chaos_kill_once(marker_path: str) -> None:
         pass
 
 
-def _commit(cfg: CrawlSettings, marks_shards, hash_shards, mark_keys,
-            new_hashes) -> int:
-    """Insert the generation's new marks/hashes into the seen-set.  Its
+def _insert(shards, mark_keys, new_hashes) -> int:
+    """Insert marks on their seed's shard (``sid % n``, the frontier's
+    routing, parsed from the ``"sid|url"`` key) and content hashes on
+    their digest's shard."""
+    routed: Dict[int, list] = {}
+    for k in mark_keys:
+        routed.setdefault(int(k.split("|", 1)[0]) % len(shards), []).append(k)
+    call_shards(shards, "insert_marks",
+                {s: key_digests(ks) for s, ks in routed.items()})
+    pool_insert(shards, new_hashes, "insert_hash")
+    return len(mark_keys) + len(new_hashes)
+
+
+def _commit(cfg: CrawlSettings, shards, mark_keys, new_hashes) -> int:
+    """Insert the generation's new marks/hashes into the shards.  Its
     key arguments are the replay's outputs, so it starts only after the
     replay returned; nothing reads the seen-set again until the next
-    generation's prep, which waits for this call."""
-    pool_insert(marks_shards, mark_keys)
-    pool_insert(hash_shards, new_hashes)
+    generation's pop+prep, which waits for this call."""
+    n = _insert(shards, mark_keys, new_hashes)
     if cfg.chaos_kill_marker:
         # the nastiest window: seen-set mutated, commit unacknowledged —
         # the retry re-inserts the same keys (idempotent) and returns
         _chaos_kill_once(cfg.chaos_kill_marker + ".commit")
-    return len(mark_keys) + len(new_hashes)
+    return n
 
 
 def _build_accept_arrays(accepted: pa.Table):
@@ -274,8 +310,7 @@ def _build_accept_arrays(accepted: pa.Table):
     )
 
 
-def _expand(max_depth: int, propagate: pa.Table, frontier_shards,
-            *blocks) -> int:
+def _expand(max_depth: int, propagate: pa.Table, shards, *blocks) -> int:
     """Stage the links of this generation's propagated pages (depth <
     ``max_depth``) onto their frontier shards (``seed_id % n``), read
     straight from the fetched blocks — link bytes flow block → shard,
@@ -287,7 +322,7 @@ def _expand(max_depth: int, propagate: pa.Table, frontier_shards,
                          keep.column("depth").to_pylist(),
                          keep.column("url").to_pylist()):
         parents.setdefault(u, []).append((sid, d + 1))
-    n = len(frontier_shards)
+    n = len(shards)
     routed: Dict[int, list] = {}
     for b in blocks:
         if not b.num_rows:
@@ -300,33 +335,29 @@ def _expand(max_depth: int, propagate: pa.Table, frontier_shards,
             for sid, d in parents[urls[i]]:
                 routed.setdefault(sid % n, []).extend(
                     (sid, d, link) for link in links)
-    call_shards(frontier_shards, "stage", routed)
+    call_shards(shards, "stage", routed)
     return sum(len(es) for es in routed.values())
 
 
-def _restore_delta(shards, path: str) -> int:
-    """Resume: insert one generation's seen-set delta file into the
-    shards (on the actor placement, a task — keys never transit the
-    driver)."""
-    keys = _read_delta(path)
-    pool_insert(shards, keys)
-    return len(keys)
+def _restore_delta(shards, marks_path: str, hashes_path: str) -> int:
+    """Resume: insert one generation's mark and hash delta files into
+    the shards, routed as :func:`_commit` routes them (on the actor
+    placement, a task — keys never transit the driver)."""
+    return _insert(shards, _read_delta(marks_path), _read_delta(hashes_path))
 
 
 # ── placements ───────────────────────────────────────────────────────────────
 
 
 class InProcess:
-    """Control state in this process; steps are plain calls."""
+    """One :class:`CrawlShard` in this process; steps are plain calls."""
 
     def __init__(self, cfg: CrawlSettings) -> None:
-        self.frontier = FrontierQueue(max_per_seed=cfg.frontier_max_per_seed)
-        self.frontier_shards = [self.frontier]
-        self.marks = [SeenShard()]
-        self.hashes = [SeenShard()]
+        self.frontier = CrawlShard(max_per_seed=cfg.frontier_max_per_seed)
+        self.shards = [self.frontier]
 
-    def pop(self, budget) -> list:
-        return [self.frontier.pop_budget(budget)]
+    def pop_prep(self, budget, *args) -> list:
+        return [self.frontier.pop_prep(budget, *args)]
 
     def run(self, fn, *args, num_returns: int = 1):
         """``fn(*args)``; a multi-output step returns its tuple, so
@@ -349,18 +380,19 @@ class InProcess:
 
 
 class OnActors:
-    """Control state on Ray actors; steps run as Ray tasks."""
+    """One :class:`CrawlShard` actor per shard; steps run as Ray tasks."""
 
     def __init__(self, cfg: CrawlSettings, n_shards: int) -> None:
         self.frontier = ShardedFrontierQueue(
-            n_shards, max_per_seed=cfg.frontier_max_per_seed)
-        self.frontier_shards = self.frontier.shard_handles
-        self.marks, self.hashes = (
-            SeenSetPool(cfg.seen_shards).shard_handles for _ in range(2))
+            n_shards, max_per_seed=cfg.frontier_max_per_seed,
+            shard_cls=CrawlShard)
+        self.shards = self.frontier.shard_handles
         self._tasks: dict = {}
 
-    def pop(self, budget) -> list:
-        return self.frontier.pop_budget_refs(budget)
+    def pop_prep(self, budget, *args) -> list:
+        """Per shard, the three refs of :meth:`CrawlShard.pop_prep`."""
+        return self.frontier.pop_budget_refs(budget, "pop_prep", *args,
+                                             num_returns=3)
 
     def run(self, fn, *args, num_returns: int = 1):
         import ray

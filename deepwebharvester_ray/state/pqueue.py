@@ -185,9 +185,10 @@ class _FrontierShard(FrontierQueue):
 class ShardedFrontierQueue:
     """Ray-actor shard pool over :class:`FrontierQueue` (cluster path).
 
-    Sharded by ``seed_id % n_shards`` (single-node tests) — at full scale
-    the shard key is ``hash(host)`` so each shard co-locates with its
-    corpus partition.  All actor calls are batched; pops merge-sort across
+    Sharded by ``seed_id % n_shards``.  The actor body is ``shard_cls``,
+    a :class:`_FrontierShard` subclass that may hold more per-shard
+    state (the crawl's ``crawl_plane.CrawlShard`` adds its seen-set
+    slices).  All actor calls are batched; pops merge-sort across
     shards deterministically.
 
     **Staged pushes** are the data-plane link-expansion protocol: tasks
@@ -203,19 +204,16 @@ class ShardedFrontierQueue:
     dominant checkpoint cost).
     """
 
-    def __init__(self, n_shards: int = 2, max_per_seed: Optional[int] = None) -> None:
+    def __init__(self, n_shards: int = 2, max_per_seed: Optional[int] = None,
+                 shard_cls: type = _FrontierShard) -> None:
         import ray
 
         from .. import runtime_env
 
         actor_cls = ray.remote(num_cpus=0, runtime_env=runtime_env())(
-            _FrontierShard)
+            shard_cls)
         self._n = n_shards
         self._shards = [actor_cls.remote(max_per_seed) for _ in range(n_shards)]
-
-    @property
-    def n_shards(self) -> int:
-        return self._n
 
     @property
     def shard_handles(self):
@@ -294,16 +292,18 @@ class ShardedFrontierQueue:
         return sorted(tuple(e) for part in parts for e in part)
 
     def pop_budget_refs(
-        self, budget_per_seed: Optional[int] | Dict[int, int] = None
+        self, budget_per_seed: Optional[int] | Dict[int, int] = None,
+        method: str = "pop_budget", *args, num_returns: int = 1,
     ):
-        """Per-shard budgeted pops as ObjectRefs — the actor placement's
-        pop: popped entries never transit the driver; downstream tasks
-        receive the refs and Ray resolves them in place.  Per-seed
-        budget maps (politeness tokens) are enforced INSIDE each shard
-        actor."""
+        """Per-shard budgeted pops as ObjectRefs: popped entries never
+        transit the driver.  Per-seed budget maps (politeness tokens)
+        are enforced INSIDE each shard actor.  *method* names the
+        shard's pop — ``pop_budget``, or a ``shard_cls`` method that
+        pops and processes its entries in place, called as
+        ``method(budget, *args)`` with *num_returns* refs per shard."""
         split = self._split_budget(budget_per_seed)
-        return [s.pop_budget.remote(b)
-                for s, b in zip(self._shards, split)]
+        return [getattr(s, method).options(num_returns=num_returns).remote(
+            b, *args) for s, b in zip(self._shards, split)]
 
     def drop_seeds(self, sids: Iterable[int]) -> int:
         return sum(self._routed("drop_seeds", sids))

@@ -118,18 +118,6 @@ class RobotsTable:
             out[host.lower()] = HostRules(rules=rules, crawl_delay=delay)
         return cls(hosts=out)
 
-    @classmethod
-    def from_parquet(cls, path: str) -> "RobotsTable":
-        """Load from a Parquet table (host:string, robots_txt:string)."""
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(path, columns=["host", "robots_txt"])
-        return cls.from_texts(
-            dict(
-                zip(t.column("host").to_pylist(), t.column("robots_txt").to_pylist())
-            )
-        )
-
     def is_allowed(self, url: str) -> bool:
         parsed = urlparse(url)
         hr = self.hosts.get(parsed.netloc.lower())

@@ -100,19 +100,20 @@ def _scatter(shards, method: str, keys: Keys):
         shards, method, {s: d[idx] for s, idx in groups.items()})
 
 
-def pool_contains(shards, keys: Keys) -> np.ndarray:
-    """Batched membership over seen shards — in-process
-    :class:`SeenShard` objects or their actor handles."""
-    groups, res = _scatter(shards, "contains", keys)
+def pool_contains(shards, keys: Keys, method: str = "contains"
+                  ) -> np.ndarray:
+    """Batched membership over seen shards — in-process objects or their
+    actor handles; *method* names the shard's membership call."""
+    groups, res = _scatter(shards, method, keys)
     out = np.zeros(len(keys), bool)
     for s, idx in groups.items():
         out[idx] = res[s]
     return out
 
 
-def pool_insert(shards, keys: Keys) -> int:
+def pool_insert(shards, keys: Keys, method: str = "insert") -> int:
     """Batched insert; returns the number of keys newly inserted."""
-    return sum(_scatter(shards, "insert", keys)[1].values())
+    return sum(_scatter(shards, method, keys)[1].values())
 
 
 class SeenSetPool:

@@ -611,3 +611,145 @@ def test_resume_after_midgeneration_crash_dataplane(smoke_corpus,
         for r in resumed.results_table().to_pylist()
     )
     assert t_full == t_res
+
+
+def test_corpus_without_partitions_raises(smoke_corpus, tmp_path):
+    """A corpus directory with no host_bucket=* partitions — the real
+    corpus's parent, or an empty directory — fails loudly before any
+    actor starts or any run_dir is made, instead of crawling every page
+    as failed; corpus_digest refuses a directory with no parquet files
+    instead of returning the empty-input digest."""
+    from pathlib import Path
+
+    from deepwebharvester_ray.corpus import corpus_digest
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    run_dir = tmp_path / "run"
+    for bad in (str(Path(smoke_corpus).parent), str(empty)):
+        with pytest.raises(ValueError, match="host_bucket"):
+            run_crawl(bad, corpus.seed_urls(2), CrawlSettings(max_depth=0),
+                      run_dir=str(run_dir))
+    assert not run_dir.exists()
+    with pytest.raises(ValueError, match="no parquet"):
+        corpus_digest(str(empty))
+
+
+def _actor_handles(obj, seen=None) -> set:
+    """Every Ray actor handle reachable from *obj*'s attributes."""
+    from ray.actor import ActorHandle
+
+    seen = set() if seen is None else seen
+    if isinstance(obj, ActorHandle):
+        return {obj}
+    if id(obj) in seen:
+        return set()
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        items = list(obj.values())
+    elif isinstance(obj, (list, tuple, set)):
+        items = list(obj)
+    elif hasattr(obj, "__dict__"):
+        items = list(vars(obj).values())
+    else:
+        return set()
+    return set().union(*(_actor_handles(x, seen) for x in items))
+
+
+def test_actor_placement_one_actor_per_shard():
+    """The actor placement holds one control actor per shard, whatever
+    seen_shards says, and those handles serve all three sets: the
+    frontier, the URL marks — on their seed's shard (sid % n), so each
+    shard's pop+prep sees exactly its own seeds' marks — and the
+    digest-routed content hashes."""
+    from deepwebharvester_ray.pipelines.crawl_plane import (
+        OnActors, _commit, pool_contains)
+    from deepwebharvester_ray.state.robots import RobotsTable
+    from deepwebharvester_ray.urlops import normalize_blacklist
+
+    pl = OnActors(CrawlSettings(seen_shards=2), 3)
+    assert len(pl.shards) == 3
+    assert _actor_handles(pl) == set(pl.shards)
+
+    entries = [(sid, 0, f"http://s{sid}.onion/{i}")
+               for sid in range(6) for i in range(3)]
+    pl.frontier.push(entries)
+    marks = [f"{s}|{u}" for s, _, u in entries if u.endswith("/0")]
+    assert pl.get(pl.run(_commit, CrawlSettings(), pl.shards, marks,
+                         ["h1", "h2"])) == 8
+    preps = pl.pop_prep(None, normalize_blacklist([]), RobotsTable(),
+                        frozenset())
+    infos = pl.get([p[0] for p in preps])
+    # shard k owns seeds {k, k+3}: two marked urls, four candidates
+    assert [i["already"] for i in infos] == [2, 2, 2]
+    assert [i["n_candidates"] for i in infos] == [4, 4, 4]
+    assert len(pl.frontier) == 0
+    assert pool_contains(pl.shards, ["h1", "h2", "h3"],
+                         "contains_hash").tolist() == [True, True, False]
+
+
+def test_mismatched_shard_counts_conformance(smoke_corpus, tmp_path,
+                                             monkeypatch):
+    """frontier_shards=3 with seen_shards=2: the actor placement
+    matches the oracle and the in-process placement exactly, and runs
+    no prep task — pop + prep is one call on each shard actor."""
+    from deepwebharvester_ray.pipelines import crawl_plane
+
+    steps = set()
+    real_run = crawl_plane.OnActors.run
+
+    def run(self, fn, *args, **kwargs):
+        steps.add(fn.__name__)
+        return real_run(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(crawl_plane.OnActors, "run", run)
+    seeds = corpus.seed_urls(6)
+    base = dict(max_depth=2, seen_shards=2)
+    act = run_crawl(smoke_corpus, seeds,
+                    CrawlSettings(**base, frontier_shards=3),
+                    run_dir=str(tmp_path / "act"), track_fetched_urls=True)
+    trace = oracle.crawl_oracle(oracle.load_corpus_map(smoke_corpus), seeds,
+                                CrawlSettings(**base, frontier_shards=3))
+    assert act.stats["pages_crawled"] > 0
+    _compare(act, trace)
+    assert steps == {"_fetch_hashes", "_build_meta", "_replay", "_commit",
+                     "_build_accept_arrays", "_expand"}
+
+    inp = run_crawl(smoke_corpus, seeds,
+                    CrawlSettings(**base, frontier_shards=0),
+                    run_dir=str(tmp_path / "inp"), track_fetched_urls=True)
+    assert inp.stats == act.stats
+    assert inp.fetched_urls_per_gen == act.fetched_urls_per_gen
+    rows = lambda r: sorted(
+        (x["seed_id"], x["url"], x["depth"], x["content_hash"])
+        for x in r.results_table().to_pylist())
+    assert rows(inp) == rows(act)
+
+
+def test_mismatched_shard_counts_resume(smoke_corpus, tmp_path):
+    """Resume at frontier_shards=3, seen_shards=2: the restored marks
+    must land on their seed's shard (routed by the key's sid, as live
+    inserts are), or the next pop+prep misses them and re-fetches."""
+    import json
+    from pathlib import Path
+
+    seeds = corpus.seed_urls(6)
+    cfg = CrawlSettings(max_depth=2, seen_shards=2, frontier_shards=3)
+    full = run_crawl(smoke_corpus, seeds, cfg,
+                     run_dir=str(tmp_path / "full"), track_fetched_urls=True)
+    part_dir = str(tmp_path / "part")
+    run_crawl(smoke_corpus, seeds, cfg, run_dir=part_dir)
+    mpath = Path(part_dir) / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    # keep generations 0-1: generation 2's already-marked urls were
+    # all marked before the resume point
+    manifest["generations"] = manifest["generations"][:2]
+    manifest["metrics"] = manifest["metrics"][:2]
+    mpath.write_text(json.dumps(manifest))
+    resumed = run_crawl(smoke_corpus, seeds, cfg, run_dir=part_dir,
+                        resume=True, track_fetched_urls=True)
+    assert resumed.stats == full.stats
+    assert resumed.fetched_urls_per_gen == full.fetched_urls_per_gen[2:]
+    assert [m.already for m in full.metrics][2] > 0
+    assert ([m.already for m in resumed.metrics]
+            == [m.already for m in full.metrics])
