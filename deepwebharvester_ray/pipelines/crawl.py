@@ -64,6 +64,7 @@ from .crawl_plane import (
     _fetch_hashes,
     _replay,
     _restore_delta,
+    hash_lookup,
 )
 
 logger = logging.getLogger(__name__)
@@ -97,11 +98,10 @@ def frontier_shard_count(cfg: CrawlSettings, n_valid_seeds: int) -> int:
 
 
 # The fetch set is broadcast as a SORTED uint64 array of url_hash64
-# values (~8 bytes/URL); the worker-local cache (broadcast.cached_get)
-# deserializes it once per worker, and membership is one np.searchsorted
-# per batch.  A 64-bit hash collision can only admit an extra corpus row
-# into the fetch (the replay consumes only scheduled URLs), never drop a
-# scheduled one.
+# values (~8 bytes/URL), deserialized once per worker
+# (broadcast.cached_get); membership is one hash_lookup per batch.  A
+# hash collision can only admit an extra corpus row into the fetch (the
+# replay consumes only scheduled URLs), never drop a scheduled one.
 
 
 def broadcast_frontier_hashes(urls) -> "object":
@@ -112,19 +112,6 @@ def broadcast_frontier_hashes(urls) -> "object":
     from ..urlops import batch_url_hash64
 
     return ray.put(np.sort(batch_url_hash64(list(urls))))
-
-
-# Above this many scheduled fetch URLs per generation, the membership
-# filter stops broadcasting ONE hash array (every worker deserializes
-# the whole set — ~8 bytes/URL each, but per-WORKER) and co-partitions
-# the hashes with the corpus's host_bucket layout instead: each
-# per-bucket read ships only its bucket's sorted hash ref — a
-# partitioned semi-join on the partitioning key the corpus already has
-# (the VERIFY_BROADCAST_CUTOFF idiom, functions/dedup.py).  Per-worker
-# memory drops to O(fetch / N_BUCKETS); results are identical (same
-# searchsorted membership, just against the only hashes that can match
-# the bucket's rows).  The fetch path's only size gate.
-FETCH_BROADCAST_CUTOFF = 2_000_000
 
 
 def fetch_extract_task(
@@ -141,17 +128,10 @@ def fetch_extract_task(
     inter-stage — potentially cross-node — block handoff when the caller
     doesn't need the frontier expansion).
     """
-    import numpy as np
-
-    from ..urlops import batch_url_hash64
-
     from ..broadcast import cached_get
 
-    h = cached_get(hashes_ref)
-    bh = batch_url_hash64(batch.column("url").to_pylist())
-    idx = np.searchsorted(h, bh)
-    idx[idx >= len(h)] = max(len(h) - 1, 0)
-    mask = (h[idx] == bh) if len(h) else np.zeros(len(bh), dtype=bool)
+    _, mask = hash_lookup(cached_get(hashes_ref),
+                          batch.column("url").to_pylist())
     if not mask.all():
         batch = batch.filter(pa.array(mask))
     out = extract_batch(batch)
@@ -165,20 +145,13 @@ def fetch_extract_task(
 def _finalize_accepted(batch: pa.Table, acc_ref=None) -> pa.Table:
     """Accepted-row filter for the results write: broadcast PARALLEL
     ARRAYS sorted by url hash — membership and (seed_id, depth) lookup
-    are one vectorized searchsorted per batch (same idiom as
-    fetch_extract_task; a 64-bit hash collision between a fetched-but-
-    rejected and an accepted URL is the only way to misroute a row —
-    negligible and bounded)."""
-    import numpy as np
-
+    are one :func:`~.crawl_plane.hash_lookup` per batch (a 64-bit hash
+    collision between a fetched-but-rejected and an accepted URL is the
+    only way to misroute a row — negligible and bounded)."""
     from ..broadcast import cached_get
-    from ..urlops import batch_url_hash64
 
     h, sids, depths = cached_get(acc_ref)
-    bh = batch_url_hash64(batch.column("url").to_pylist())
-    idx = np.searchsorted(h, bh)
-    idx[idx >= len(h)] = max(len(h) - 1, 0)
-    mask = (h[idx] == bh) if len(h) else np.zeros(len(bh), bool)
+    idx, mask = hash_lookup(h, batch.column("url").to_pylist())
     kept = batch.filter(pa.array(mask)).drop_columns(["links"])
     sel = idx[mask]
     kept = kept.append_column("depth", pa.array(depths[sel], pa.int32()))
@@ -263,49 +236,40 @@ def _bucket_paths(corpus_dir: str, buckets) -> List[str]:
     return paths
 
 
-def _fetch_extract(corpus_dir: str, cfg: CrawlSettings, pl, info: dict,
+def _fetch_extract(corpus_dir: str, cfg: CrawlSettings, pl, infos: list,
                    hash_parts: list):
-    """Fetch + extract the generation's fetch set.
+    """Fetch + extract the generation's fetch set from the shards'
+    ``pop_prep`` infos and fetch-hash arrays.
 
-    One pruned read per group of host buckets, each filtered by its
-    group's sorted url-hash array in ``fetch_extract_task``: a single
-    group (one broadcast) up to :data:`FETCH_BROADCAST_CUTOFF` fetch URLs,
-    one group per bucket above it.  Below the scanner-filter cap the URL
+    One read of the fetch hosts' corpus buckets (partition pruning),
+    filtered in ``fetch_extract_task`` by the generation's sorted url-hash
+    array, broadcast once.  Up to :data:`SCANNER_CAP` fetch URLs the URL
     list is also pushed into the Arrow scanner, so non-fetch rows are
     dropped before their html bytes reach the object store.  Returns
     ``(materialized dataset or None, fetch digest)``."""
     import pyarrow.compute as pc
     import ray
 
-    buckets = sorted({host_bucket_of(h) for h in info["hosts"]})
-    groups = ([[b] for b in buckets]
-              if info["n_fetch"] > FETCH_BROADCAST_CUTOFF else [buckets])
-    digest, *arrays = pl.run(_fetch_hashes, groups, *hash_parts,
-                             num_returns=1 + len(groups))
-    small = info["fetch_urls_small"]
-    parts = []
-    for group, arr in zip(groups, arrays):
-        paths = _bucket_paths(corpus_dir, group)
-        if not paths:
-            continue
-        read_kwargs = {}
-        if small is not None:
-            urls = small if len(groups) == 1 else [
-                u for u in small if host_bucket_of(get_host(u)) in group]
-            read_kwargs["filter"] = pc.field("url").isin(urls)
-        parts.append(ray.data.read_parquet(
-            paths, columns=["url", "html"], **read_kwargs
-        ).map_batches(
-            fetch_extract_task,
-            fn_kwargs={"hashes_ref": pl.ref(arr)},
-            batch_format="pyarrow",
-            batch_size=cfg.extract_batch_size,
-            runtime_env=runtime_env(),
-        ))
-    if not parts:
+    digest, hashes = pl.run(_fetch_hashes, *hash_parts, num_returns=2)
+    paths = _bucket_paths(corpus_dir, sorted(
+        {host_bucket_of(h) for i in infos for h in i["hosts"]}))
+    if not paths:
         return None, digest
-    ds = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
-    return ds.materialize(), digest
+    read_kwargs = {}
+    smalls = [i["fetch_urls_small"] for i in infos]
+    urls = (None if None in smalls
+            else sorted({u for lst in smalls for u in lst}))
+    if urls is not None and len(urls) <= SCANNER_CAP:
+        read_kwargs["filter"] = pc.field("url").isin(urls)
+    return ray.data.read_parquet(
+        paths, columns=["url", "html"], **read_kwargs
+    ).map_batches(
+        fetch_extract_task,
+        fn_kwargs={"hashes_ref": pl.ref(hashes)},
+        batch_format="pyarrow",
+        batch_size=cfg.extract_batch_size,
+        runtime_env=runtime_env(),
+    ).materialize(), digest
 
 
 def _checkpoint_generation(
@@ -318,6 +282,8 @@ def _checkpoint_generation(
     gm: "GenerationMetrics",
     gen: int,
     fetch_digest: str,
+    size: int,
+    dropped: int,
 ) -> None:
     """Per-generation checkpoint: frontier snapshot (per-shard files on
     the sharded queue — frontier bytes never transit the driver) + the
@@ -335,8 +301,8 @@ def _checkpoint_generation(
             "fetch_digest": fetch_digest,
             "counts": gm.as_dict(),
             "seed_states": {str(k): v.as_dict() for k, v in states.items()},
-            "frontier_size": len(frontier),
-            "frontier_dropped": frontier.dropped,
+            "frontier_size": size,
+            "frontier_dropped": dropped,
         }
     )
     manifest["metrics"] = [m.as_dict() for m in metrics]
@@ -365,26 +331,18 @@ def _generation(
     """One generation on placement *pl* (``crawl_plane.InProcess`` or
     ``crawl_plane.OnActors``).  Fills *gm*, updates *states* and the
     frontier, writes the results partition and the seen-set deltas, and
-    returns the fetch digest (an ObjectRef on the actor placement)."""
+    returns ``(fetch digest, frontier size, frontier dropped)`` — the
+    digest is an ObjectRef on the actor placement; the two counts come
+    from the frontier's ``commit_staged()``."""
     inactive = frozenset(
         sid for sid, st in states.items()
         if st.exhausted or st.pages >= cfg.max_pages
     )
-    # pop + prep is one call per shard, against that shard's own marks
-    # (a single whole-generation prep would itself be the bottleneck at
-    # scale)
+    # purge + pop + prep is one call per shard, against that shard's own
+    # marks (a single whole-generation prep would itself be the
+    # bottleneck at scale); CrawlShard.pop_prep says why it purges
     preps = pl.pop_prep(pop_budget, blacklist, robots, inactive)
     infos = pl.get([p[0] for p in preps])
-    smalls = [i["fetch_urls_small"] for i in infos]
-    small = (None if None in smalls
-             else sorted({u for lst in smalls for u in lst}))
-    info = {
-        "n_fetch": sum(i["n_fetch"] for i in infos),
-        "hosts": sorted({h for i in infos for h in i["hosts"]}),
-        "fetch_urls_small": (
-            small if small is not None and len(small) <= SCANNER_CAP
-            else None),
-    }
     gm.already = sum(i["already"] for i in infos)
     gm.candidates = sum(i["n_candidates"] for i in infos)
 
@@ -392,7 +350,7 @@ def _generation(
     if gen_results_dir.exists():
         shutil.rmtree(gen_results_dir)  # idempotent partition overwrite
     fetched_ds, digest = _fetch_extract(
-        corpus_dir, cfg, pl, info, [p[1] for p in preps])
+        corpus_dir, cfg, pl, infos, [p[1] for p in preps])
     blocks = fetched_ds.to_arrow_refs() if fetched_ds is not None else []
     meta, n_fetched, urls = pl.run(_build_meta, *blocks, num_returns=3)
     gm.fetched = pl.get(n_fetched)
@@ -413,8 +371,8 @@ def _generation(
     gm.dup = counters.get("dup", 0)
     gm.robots_blocked = counters.get("robots_blocked", 0)
     gm.blacklisted = counters.get("blacklisted", 0) - gm.robots_blocked
-    gm.abandoned += (counters.get("abandoned", 0)
-                     + sum(i["aband_pre"] for i in infos))
+    gm.abandoned = (counters.get("abandoned", 0)
+                    + sum(i["abandoned"] for i in infos))
 
     if on_page_crawled is not None:
         # per-record callback contract (reference crawler.py:96): a
@@ -445,9 +403,8 @@ def _generation(
             )
         out_ds.write_parquet(str(gen_results_dir))
 
-    if pl.get(pl.run(_expand, cfg.max_depth, propagate, pl.shards, *blocks)):
-        pl.frontier.commit_staged()
-    return digest
+    pl.get(pl.run(_expand, cfg.max_depth, propagate, pl.shards, *blocks))
+    return (digest, *pl.frontier.commit_staged())
 
 
 def run_crawl(
@@ -560,7 +517,6 @@ def run_crawl(
             )
             frontier.dropped = int(last["frontier_dropped"])
             metrics = [GenerationMetrics(**m) for m in manifest["metrics"]]
-            logger.info("Resuming from generation %d (%d frontier entries)", start_gen, len(frontier))
     else:
         # fresh run: purge stale partitions/state a previous (longer or
         # differently-configured) run may have left in this run_dir —
@@ -600,32 +556,27 @@ def run_crawl(
     else:
         pop_budget = cfg.max_fetch_per_gen
     fetched_urls_per_gen: List[Set[str]] = []
+    # read once per run; each generation's commit_staged() returns them
+    size, dropped = len(frontier), frontier.dropped
+    if start_gen:
+        logger.info("Resuming from generation %d (%d frontier entries)",
+                    start_gen, size)
     gen = start_gen
-    while len(frontier) and gen <= gen_cap:
+    while size and gen <= gen_cap:
         t_gen = time.monotonic()
         gm = GenerationMetrics(generation=gen)
-        # Exhausted seeds' queued entries can never be scheduled — purge
-        # them in ONE step instead of draining max_fetch_per_gen per
-        # generation (each no-op generation would pay a full O(frontier)
-        # checkpoint); purged entries count as abandoned, exactly as they
-        # would if popped.
-        ex_sids = [
-            sid for sid, st in states.items()
-            if st.exhausted or st.pages >= cfg.max_pages
-        ]
-        gm.abandoned = frontier.drop_seeds(ex_sids) if ex_sids else 0
-        fetch_digest = _generation(
+        fetch_digest, size, dropped = _generation(
             corpus_dir, cfg, pl, states, seed_delays, blacklist, robots,
             gm, gen, results_root, state_root, with_intel, on_page_crawled,
             fetched_urls_per_gen if track_fetched_urls else None,
             pop_budget,
         )
-        gm.deferred = len(frontier)
+        gm.deferred = size
         gm.wall_time_s = time.monotonic() - t_gen
         metrics.append(gm)
         _checkpoint_generation(
             frontier, state_root, manifest, manifest_path, metrics, states,
-            gm, gen, pl.get(fetch_digest))
+            gm, gen, pl.get(fetch_digest), size, dropped)
         gen += 1
 
     stats = {
@@ -634,7 +585,7 @@ def run_crawl(
         "pages_failed": sum(s.failed for s in states.values()),
         "pages_skipped": sum(s.skipped for s in states.values()),
         "pages_deduplicated": sum(s.deduplicated for s in states.values()),
-        "frontier_dropped": frontier.dropped,
+        "frontier_dropped": dropped,
         "generations": gen,
     }
     return CrawlRun(

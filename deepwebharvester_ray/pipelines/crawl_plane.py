@@ -6,10 +6,11 @@ n``), those seeds' URL marks (a ``"sid|url"`` key routes by its sid),
 and a digest-routed slice of the content-hash set.  Every generation of
 ``pipelines.crawl.run_crawl`` runs one body (``crawl._generation``):
 
-* :meth:`CrawlShard.pop_prep` — one call per shard: the budgeted pop,
-  the mark filter against the shard's own marks, then the
-  blacklist/robots flags.  It reads only its own shard.
-* :func:`_fetch_hashes` — the generation's fetch-membership arrays and
+* :meth:`CrawlShard.pop_prep` — one call per shard: the purge of
+  inactive seeds' entries, the budgeted pop, the mark filter against the
+  shard's own marks, then the blacklist/robots flags.  It reads only its
+  own shard.
+* :func:`_fetch_hashes` — the generation's fetch-membership array and
   its lineage digest.
 * :func:`_build_meta` — the (url hash → content hash) lookup from the
   fetched dataset's blocks.
@@ -54,7 +55,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import CrawlSettings
-from ..corpus import host_bucket_of
 from ..state import call_shards
 from ..state.pqueue import ShardedFrontierQueue, _FrontierShard
 from ..state.scheduler import BLACKLISTED, Candidate, replay_generation
@@ -64,7 +64,23 @@ from ..urlops import batch_url_hash64, get_host, is_blacklisted
 # A generation's fetch-URL list goes into the parquet reader's ``isin``
 # filter only up to this size; beyond it the filter expression itself
 # would be the bottleneck (the hash-membership filter always applies).
+# Measured to pay for itself: without the list, 4 of 4 paired
+# crawl_wide_sharded runs (1-core box) were slower — wall_s
+# 10.47/9.47/10.25/14.20 s vs 8.53/9.40/8.97/8.71 s, gen_p50_s
+# 4.42/3.64/4.00/5.56 s vs 3.02/3.29/3.08/3.03 s.
 SCANNER_CAP = 100_000
+
+
+def hash_lookup(sorted_h: np.ndarray, urls) -> Tuple[np.ndarray, np.ndarray]:
+    """``(idx, found)`` for *urls* in the sorted uint64 url-hash array
+    *sorted_h*: ``found[i]`` iff ``urls[i]``'s hash is ``sorted_h[idx[i]]``
+    (``idx`` is clipped into range, so it indexes parallel arrays too)."""
+    bh = batch_url_hash64(urls)
+    idx = np.searchsorted(sorted_h, bh)
+    idx[idx >= len(sorted_h)] = max(len(sorted_h) - 1, 0)
+    found = ((sorted_h[idx] == bh) if len(sorted_h)
+             else np.zeros(len(bh), bool))
+    return idx, found
 
 
 # ── checkpoint deltas ────────────────────────────────────────────────────────
@@ -91,49 +107,46 @@ class CrawlShard(_FrontierShard):
         self.marks, self.hashes = SeenShard(), SeenShard()
 
     def pop_prep(self, budget, blacklist, robots, inactive_sids):
-        """Pop this shard's budgeted entries and prepare the candidates:
-        the mark filter against this shard's marks, then the
-        blacklist/robots flags.
+        """Purge the inactive seeds' entries (exhausted or at their page
+        budget: they can never be scheduled), pop this shard's budgeted
+        entries and prepare the candidates: the mark filter against this
+        shard's marks, then the blacklist/robots flags.
 
-        Returns ``(info, fetch_hb, candidates)``; the driver materializes
-        only ``info``: the counters, the distinct fetch HOSTS (partition
-        pruning; bounded by host cardinality) and — iff ≤
-        :data:`SCANNER_CAP` — the fetch URL list.  ``fetch_hb`` is (url
-        hashes, host buckets) of the fetch URLs; ``candidates`` is the
-        (sid, depth, url, black, robots) table of the active candidates
-        in canonical order."""
+        Returns ``(info, fetch_h, candidates)``; the driver materializes
+        only ``info``: the counters (``abandoned`` counts the purged
+        entries), the distinct fetch HOSTS (partition pruning; bounded by
+        host cardinality) and — iff ≤ :data:`SCANNER_CAP` — the fetch URL
+        list.  ``fetch_h`` is the fetch URLs' url hashes; ``candidates``
+        is the (sid, depth, url, black, robots) table in canonical
+        order."""
+        abandoned = self.drop_seeds(inactive_sids)
         entries = self.pop_budget(budget)  # canonical (sid, depth, url)
         marked = self.marks.contains([f"{s}|{u}" for s, _, u in entries])
         cands = [e for e, m in zip(entries, marked) if not m]
-        active = [e for e in cands if e[0] not in inactive_sids]
 
-        black = [is_blacklisted(u, blacklist) for _, _, u in active]
+        black = [is_blacklisted(u, blacklist) for _, _, u in cands]
         robots_hits = robots.blocked_set(
-            {e[2] for e, b in zip(active, black) if not b})
+            {e[2] for e, b in zip(cands, black) if not b})
         rob = [(not b) and (e[2] in robots_hits)
-               for e, b in zip(active, black)]
+               for e, b in zip(cands, black)]
         fetch_urls = sorted({
-            e[2] for e, b, r in zip(active, black, rob) if not (b or r)})
-        hosts = [get_host(u) for u in fetch_urls]
+            e[2] for e, b, r in zip(cands, black, rob) if not (b or r)})
         info = {
             "already": int(marked.sum()),
-            "aband_pre": len(cands) - len(active),
+            "abandoned": abandoned,
             "n_candidates": len(cands),
-            "n_fetch": len(fetch_urls),
-            "hosts": sorted(set(hosts)),
+            "hosts": sorted({get_host(u) for u in fetch_urls}),
             "fetch_urls_small": (
                 fetch_urls if len(fetch_urls) <= SCANNER_CAP else None),
         }
         candidates = pa.table({
-            "sid": pa.array([e[0] for e in active], pa.int32()),
-            "depth": pa.array([e[1] for e in active], pa.int32()),
-            "url": pa.array([e[2] for e in active], pa.string()),
+            "sid": pa.array([e[0] for e in cands], pa.int32()),
+            "depth": pa.array([e[1] for e in cands], pa.int32()),
+            "url": pa.array([e[2] for e in cands], pa.string()),
             "black": pa.array(black, pa.bool_()),
             "robots": pa.array(rob, pa.bool_()),
         })
-        fetch_hb = (batch_url_hash64(fetch_urls),
-                    np.array([host_bucket_of(h) for h in hosts], np.int32))
-        return info, fetch_hb, candidates
+        return info, batch_url_hash64(fetch_urls), candidates
 
     def insert_marks(self, keys) -> int:
         return self.marks.insert(keys)
@@ -145,22 +158,19 @@ class CrawlShard(_FrontierShard):
         return self.hashes.insert(keys)
 
 
-def _fetch_hashes(groups: List[List[int]], *pairs):
-    """The generation's fetch-membership arrays from the per-shard
-    (url hashes, host buckets) pairs.
+def _fetch_hashes(*parts):
+    """The generation's fetch-membership array from the per-shard url
+    hash arrays.
 
-    Returns ``(digest, *arrays)`` with one sorted hash array per group of
-    host buckets: one group holding every bucket is the single broadcast;
-    one group per bucket co-partitions membership with the corpus layout
-    (``pipelines.crawl.FETCH_BROADCAST_CUTOFF``).  ``digest`` — the
-    lineage id of the generation's fetch set — hashes the sorted
-    fetch-hash SET, so it does not depend on how many frontier shards the
-    hashes came from.  Linear in the generation's fetch set, which the
-    politeness token budgets bound (hosts × tokens), not the frontier."""
-    h = np.concatenate([np.asarray(p[0], np.uint64) for p in pairs])
-    b = np.concatenate([np.asarray(p[1], np.int32) for p in pairs])
-    digest = hashlib.sha256(np.unique(h).tobytes()).hexdigest()[:16]
-    return (digest, *(np.sort(h[np.isin(b, g)]) for g in groups))
+    Returns ``(digest, hashes)``: ``hashes`` is the sorted distinct
+    fetch-hash set, broadcast once to the fetch tasks; ``digest`` — the
+    lineage id of the generation's fetch set — hashes that set, so it
+    does not depend on how many frontier shards the hashes came from.
+    Linear in the generation's fetch set, which the politeness token
+    budgets bound (hosts × tokens), not the frontier."""
+    h = np.unique(np.concatenate(
+        [np.asarray(p, np.uint64) for p in parts]))
+    return hashlib.sha256(h.tobytes()).hexdigest()[:16], h
 
 
 def _build_meta(*blocks):
@@ -198,10 +208,7 @@ def _replay(meta, states: dict, cfg: CrawlSettings, delays, shards,
         [("sid", "ascending"), ("depth", "ascending"), ("url", "ascending")])
     urls = sub.column("url").to_pylist()
     h_meta, hash_meta = meta
-    bh = batch_url_hash64(urls)
-    idx = np.searchsorted(h_meta, bh)
-    idx[idx >= len(h_meta)] = max(len(h_meta) - 1, 0)
-    fetched = (h_meta[idx] == bh) if len(h_meta) else np.zeros(len(bh), bool)
+    idx, fetched = hash_lookup(h_meta, urls)
 
     black = sub.column("black").to_pylist()
     robots = sub.column("robots").to_pylist()

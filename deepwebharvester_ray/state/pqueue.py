@@ -99,13 +99,15 @@ class FrontierQueue:
         arrive in any order)."""
         self._staged.extend(tuple(e) for e in entries)
 
-    def commit_staged(self) -> int:
+    def commit_staged(self) -> Tuple[int, int]:
         """Push the staged entries in canonical (seed_id, depth, url)
         order — the shallowest discovery of a url wins the first-push
-        dedup however the staging calls interleaved."""
+        dedup however the staging calls interleaved.  Returns ``(size,
+        dropped)``: the queue's length and its overflow-drop count after
+        the push."""
         staged, self._staged = sorted(self._staged), []
         self.push(staged)
-        return len(self)
+        return len(self), self.dropped
 
     def pop_budget(
         self, budget_per_seed: Optional[int] | Dict[int, int] = None
@@ -227,19 +229,20 @@ class ShardedFrontierQueue:
         return ray.get([getattr(s, method).remote(*args) for s in self._shards])
 
     def _routed(self, method: str, items: Iterable) -> list:
-        """``method`` on each owning shard with its share of *items*
-        (entries, or bare seed ids), routed by ``seed_id % n_shards``."""
+        """``method`` on each owning shard with its share of the entries
+        *items*, routed by ``seed_id % n_shards``."""
         routed: Dict[int, list] = {}
         for it in items:
-            sid = it if isinstance(it, int) else it[0]
-            routed.setdefault(sid % self._n, []).append(it)
+            routed.setdefault(it[0] % self._n, []).append(it)
         return list(call_shards(self._shards, method, routed).values())
 
     def push(self, entries: Iterable[Entry]) -> None:
         self._routed("push", entries)
 
-    def commit_staged(self) -> int:
-        return sum(self._each("commit_staged"))
+    def commit_staged(self) -> Tuple[int, int]:
+        """``(size, dropped)`` summed over the shards."""
+        sizes, dropped = zip(*self._each("commit_staged"))
+        return sum(sizes), sum(dropped)
 
     @property
     def dropped(self) -> int:
@@ -304,9 +307,6 @@ class ShardedFrontierQueue:
         split = self._split_budget(budget_per_seed)
         return [getattr(s, method).options(num_returns=num_returns).remote(
             b, *args) for s, b in zip(self._shards, split)]
-
-    def drop_seeds(self, sids: Iterable[int]) -> int:
-        return sum(self._routed("drop_seeds", sids))
 
     def __len__(self) -> int:
         return sum(self._each("size"))

@@ -479,39 +479,6 @@ def test_sharded_frontier_matches_driver_queue(smoke_corpus, tmp_path):
     assert digests[0] == digests[1]
 
 
-@pytest.mark.parametrize("frontier_shards", [0, 2])
-def test_bucketed_fetch_membership_forced(smoke_corpus, tmp_path,
-                                          frontier_shards, monkeypatch):
-    """FETCH_BROADCAST_CUTOFF=0 forces the bucketed fetch-membership
-    path (per-host-bucket hash refs instead of ONE broadcast array) on
-    both placements: identical
-    per-generation fetch sets, stats, results rows and lineage digests
-    vs the default single-broadcast run."""
-    import json as _json
-    from pathlib import Path as _P
-
-    seeds = corpus.seed_urls(5)
-    base = dict(max_depth=2, max_pages=8, seen_shards=2,
-                frontier_shards=frontier_shards)
-    a = run_crawl(smoke_corpus, seeds, CrawlSettings(**base),
-                  run_dir=str(tmp_path / "bc"), track_fetched_urls=True)
-    from deepwebharvester_ray.pipelines import crawl as crawl_mod
-
-    monkeypatch.setattr(crawl_mod, "FETCH_BROADCAST_CUTOFF", 0)
-    b = run_crawl(smoke_corpus, seeds, CrawlSettings(**base),
-                  run_dir=str(tmp_path / "bk"), track_fetched_urls=True)
-    assert a.fetched_urls_per_gen == b.fetched_urls_per_gen
-    assert any(a.fetched_urls_per_gen)  # the forced path actually fetched
-    assert a.stats == b.stats
-    rows = lambda r: sorted(
-        (x["seed_id"], x["url"], x["depth"], x["content_hash"])
-        for x in r.results_table().to_pylist())
-    assert rows(a) == rows(b)
-    dig = lambda d: [g["fetch_digest"] for g in _json.loads(
-        (_P(d) / "manifest.json").read_text())["generations"]]
-    assert dig(a.run_dir) == dig(b.run_dir)
-
-
 def test_sharded_frontier_resume(smoke_corpus, tmp_path):
     """Checkpoint/resume with per-shard frontier snapshots."""
     seeds = corpus.seed_urls(3)
@@ -521,10 +488,52 @@ def test_sharded_frontier_resume(smoke_corpus, tmp_path):
     part_dir = str(tmp_path / "part")
     shallow = CrawlSettings(max_depth=2, seen_shards=2, frontier_shards=2,
                             max_fetch_per_gen=3)
-    run_crawl(smoke_corpus, seeds, shallow, run_dir=part_dir)
+    done = run_crawl(smoke_corpus, seeds, shallow, run_dir=part_dir)
     resumed = run_crawl(smoke_corpus, seeds, shallow, run_dir=part_dir,
                         resume=True, track_fetched_urls=True)
     assert resumed.stats["pages_crawled"] >= 0  # resume completed cleanly
+    assert resumed.fetched_urls_per_gen == []  # a finished run re-fetches nothing
+    assert resumed.stats == done.stats
+
+
+def test_frontier_accounting(smoke_corpus, tmp_path):
+    """A budgeted crawl that exhausts seeds and overflows their queues:
+    each generation's manifest ``frontier_size`` (and ``deferred``
+    count) is the checkpointed frontier's row count, the last
+    ``frontier_dropped`` is the run's, purged entries are counted as
+    abandoned, both placements record the same counts, and resuming the
+    finished run re-fetches nothing and returns the same stats."""
+    import json
+    from pathlib import Path
+
+    import pyarrow.parquet as pq
+
+    seeds = corpus.seed_urls(6)
+    counts = {}
+    for shards in (0, 2):
+        cfg = CrawlSettings(max_depth=3, max_pages=3, max_fetch_per_gen=2,
+                            frontier_max_per_seed=3, frontier_shards=shards)
+        run_dir = tmp_path / f"shards{shards}"
+        run = run_crawl(smoke_corpus, seeds, cfg, run_dir=str(run_dir))
+        gens = json.loads(
+            (run_dir / "manifest.json").read_text())["generations"]
+        for g in gens:
+            files = (run_dir / "state").glob(
+                f"frontier_gen{g['generation']}.parquet*")
+            rows = sum(pq.read_metadata(f).num_rows for f in files)
+            assert g["frontier_size"] == g["counts"]["deferred"] == rows
+        assert gens[-1]["frontier_dropped"] == run.stats["frontier_dropped"]
+        assert run.stats["frontier_dropped"] > 0
+        assert sum(g["counts"]["abandoned"] for g in gens) > 0
+        counts[shards] = [
+            ({k: v for k, v in g["counts"].items() if k != "wall_time_s"},
+             g["frontier_size"], g["frontier_dropped"]) for g in gens]
+
+        resumed = run_crawl(smoke_corpus, seeds, cfg, run_dir=str(run_dir),
+                            resume=True, track_fetched_urls=True)
+        assert resumed.fetched_urls_per_gen == []
+        assert resumed.stats == run.stats
+    assert counts[0] == counts[2]
 
 
 def test_placements_write_identical_deltas(smoke_corpus, tmp_path):

@@ -8,7 +8,8 @@ process so ru_maxrss is a clean per-run peak).
   python tools/stress_scale.py frontier --seeds 10000 --shards 8
   python tools/stress_scale.py frontier --seeds 10000 --driver
       → sharded vs driver-queue control plane on the same 80k-page
-        corpus: driver RSS drops when links stop transiting the driver
+        corpus: driver RSS drops when links stop transiting the driver;
+        also prints the largest generation's candidates and fetches
   python tools/stress_scale.py seen --n 10000000 --shards 4
       → exact seen-set envelope: 16 bytes/key, 0 false positives on a
         disjoint probe range
@@ -124,6 +125,11 @@ def run_frontier(seeds: int, shards: int | None, sf_dir: str,
         "case": "frontier", "seeds": seeds, "factor": factor,
         "frontier_shards": shards, "pages": run.stats["pages_crawled"],
         "generations": run.generations,
+        # the largest generation's fetch traffic: what any fetch-path
+        # size gate would have to be measured against
+        "max_gen_candidates": max((m.candidates for m in run.metrics),
+                                  default=0),
+        "max_gen_fetched": max((m.fetched for m in run.metrics), default=0),
         "wall_s": round(wall, 2),
         "driver_rss_mb": round(_rss_mb(), 1),
     }
