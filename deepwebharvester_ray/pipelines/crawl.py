@@ -32,6 +32,7 @@ continues without re-fetching any URL.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
@@ -79,10 +80,13 @@ MANIFEST_LAYOUT = 3
 # AUTO placement cutoff: at or above this many valid seeds the control
 # state moves onto actors (frontier_shards=None picks per this).  The
 # same depth-1 crawl on both placements (4 shards, Ray num_cpus=2, one
-# warm session, 1-core box, loadavg 2.3-4.1) took, in process / on
-# actors: 6.28-7.18 s / 9.32-9.97 s at 2,048 seeds and 20.81-23.73 s /
-# 24.38-24.46 s at 8,192.  Actors still lose at both sizes; the gate
-# stays until the actor placement keeps its start-up out of the call.
+# session, placements alternated, every call output-checked, 1-core
+# box, loadavg 1.6-3.0) took, in process / on actors: at 2,048 seeds
+# 21.42 s (the session's first Ray Data call) / 11.39 s (actor start)
+# on the first call and 6.96 / 7.76 s warm; at 8,192 seeds 30.31 /
+# 31.24 s first and 28.31 / 27.16 s warm.  Warm actors are about at par,
+# but a one-shot run (the CLI) pays actor start-up in its only call, so
+# the gate stays.
 FRONTIER_AUTO_SEEDS = 5_000
 
 
@@ -419,7 +423,9 @@ def run_crawl(
 ) -> CrawlRun:
     """Run (or resume) the full BFS crawl over *corpus_dir*.
 
-    Ray must already be initialised by the caller.
+    Ray must already be initialised by the caller.  One process runs
+    one crawl at a time: the actor placement's shard actors are shared
+    by every run in the session (``crawl_plane.OnActors``).
 
     *on_page_crawled* mirrors the reference's per-record callback hook
     (crawler.py:96, fired crawler.py:252-253): called once per ACCEPTED
@@ -490,7 +496,10 @@ def run_crawl(
 
     pl = OnActors(cfg, n_shards) if n_shards else InProcess(cfg)
     frontier = pl.frontier
-    frontier.push([(sid, 0, u) for sid, u in enumerate(valid_seeds)])
+    # the frontier's (size, dropped) is read here once per run; each
+    # generation's commit_staged() returns it after that
+    size, dropped = frontier.push(
+        [(sid, 0, u) for sid, u in enumerate(valid_seeds)])
 
     start_gen = 0
     if manifest is not None:
@@ -512,10 +521,10 @@ def run_crawl(
                 int(k): SeedState.from_dict(v)
                 for k, v in last["seed_states"].items()
             }
-            frontier.restore_parquet(
+            size, _ = frontier.restore_parquet(
                 str(state_root / f"frontier_gen{last['generation']}.parquet")
             )
-            frontier.dropped = int(last["frontier_dropped"])
+            dropped = frontier.dropped = int(last["frontier_dropped"])
             metrics = [GenerationMetrics(**m) for m in manifest["metrics"]]
     else:
         # fresh run: purge stale partitions/state a previous (longer or
@@ -556,8 +565,6 @@ def run_crawl(
     else:
         pop_budget = cfg.max_fetch_per_gen
     fetched_urls_per_gen: List[Set[str]] = []
-    # read once per run; each generation's commit_staged() returns them
-    size, dropped = len(frontier), frontier.dropped
     if start_gen:
         logger.info("Resuming from generation %d (%d frontier entries)",
                     start_gen, size)
@@ -578,6 +585,10 @@ def run_crawl(
             frontier, state_root, manifest, manifest_path, metrics, states,
             gm, gen, pl.get(fetch_digest), size, dropped)
         gen += 1
+    pl.release()
+    # each Ray Data execution leaves a StreamingExecutor reference cycle
+    # that pins its blocks in the object store until a collection runs
+    gc.collect()
 
     stats = {
         "sites_crawled": len(states),

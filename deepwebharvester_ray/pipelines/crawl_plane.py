@@ -31,11 +31,15 @@ generation body never branches on it:
   calls; ObjectRef arguments are resolved first, as Ray resolves a
   task's arguments.
 * :class:`OnActors` — one ``CrawlShard`` actor per shard, behind a
-  ``ShardedFrontierQueue``: N shards start N actors.  Steps run as
-  ``num_cpus=0`` Ray tasks whose inputs and outputs are ObjectRefs, so
-  the driver holds only counters, per-seed states, the distinct fetch
-  hosts and — below the scanner-filter cap — the fetch URL list.  No
-  actor method calls another actor.
+  ``ShardedFrontierQueue``.  The actors start once per Ray session and
+  shard count and are reset at the start of each run
+  (:meth:`CrawlShard.reset`), so only a session's first actor-placement
+  run pays actor start-up.  Steps run as ``num_cpus=0`` Ray tasks
+  (their ``ray.remote`` wrappers are made once per process) whose
+  inputs and outputs are ObjectRefs, so the driver holds only counters,
+  per-seed states, the distinct fetch hosts and — below the
+  scanner-filter cap — the fetch URL list.  No actor method calls
+  another actor.
 
 Retry safety (actor placement): mid-generation tasks are pure, so a task
 SIGKILLed and retried by Ray recomputes the same outputs from the same
@@ -105,6 +109,12 @@ class CrawlShard(_FrontierShard):
     def __init__(self, max_per_seed: Optional[int] = None) -> None:
         super().__init__(max_per_seed)
         self.marks, self.hashes = SeenShard(), SeenShard()
+
+    def reset(self, max_per_seed: Optional[int]) -> None:
+        """Clear every set — frontier heaps and members, staged
+        entries, the drop count, marks and hashes — as a fresh shard
+        with this capacity: a warm actor taken by a new run."""
+        self.__init__(max_per_seed)
 
     def pop_prep(self, budget, blacklist, robots, inactive_sids):
         """Purge the inactive seeds' entries (exhausted or at their page
@@ -385,16 +395,57 @@ class InProcess:
 
         return ray.put(x)
 
+    def release(self) -> None:
+        """Nothing outlives the run in process."""
+
+
+# The actor placement's warm state, kept for the life of the process:
+# the idle shard-actor sets by (Ray session, shard count), and the
+# steps' Ray task wrappers by (step, num_returns).
+_SHARD_SETS: Dict[tuple, ShardedFrontierQueue] = {}
+_TASKS: dict = {}
+
+
+def _session() -> tuple:
+    import ray
+
+    ctx = ray.get_runtime_context()
+    return ctx.get_node_id(), ctx.get_job_id()
+
 
 class OnActors:
-    """One :class:`CrawlShard` actor per shard; steps run as Ray tasks."""
+    """One :class:`CrawlShard` actor per shard — started once per Ray
+    session and shard count, reset per run; steps run as Ray tasks.
+
+    A run takes the session's idle set out of the cache and resets it;
+    :meth:`release` puts it back once the run has returned.  A set whose
+    run raised is never put back: tasks of that run may still be
+    calling its actors, so the next run starts a new set, as it does
+    when a reset finds a shard actor dead."""
 
     def __init__(self, cfg: CrawlSettings, n_shards: int) -> None:
-        self.frontier = ShardedFrontierQueue(
-            n_shards, max_per_seed=cfg.frontier_max_per_seed,
-            shard_cls=CrawlShard)
-        self.shards = self.frontier.shard_handles
-        self._tasks: dict = {}
+        import ray
+
+        session = _session()
+        for key in [k for k in _SHARD_SETS if k[0] != session]:
+            del _SHARD_SETS[key]  # an earlier Ray session's actors
+        frontier = _SHARD_SETS.pop((session, n_shards), None)
+        if frontier is not None:
+            try:
+                ray.get([s.reset.remote(cfg.frontier_max_per_seed)
+                         for s in frontier.shard_handles])
+            except ray.exceptions.RayActorError:
+                frontier = None
+        if frontier is None:
+            frontier = ShardedFrontierQueue(
+                n_shards, max_per_seed=cfg.frontier_max_per_seed,
+                shard_cls=CrawlShard)
+        self.frontier = frontier
+        self.shards = frontier.shard_handles
+
+    def release(self) -> None:
+        """Keep this run's shard actors for the session's next run."""
+        _SHARD_SETS[(_session(), len(self.shards))] = self.frontier
 
     def pop_prep(self, budget, *args) -> list:
         """Per shard, the three refs of :meth:`CrawlShard.pop_prep`."""
@@ -407,11 +458,11 @@ class OnActors:
         from .. import runtime_env
 
         key = (fn, num_returns)
-        if key not in self._tasks:
-            self._tasks[key] = ray.remote(
+        if key not in _TASKS:
+            _TASKS[key] = ray.remote(
                 num_cpus=0, num_returns=num_returns,
                 runtime_env=runtime_env())(fn)
-        return self._tasks[key].remote(*args)
+        return _TASKS[key].remote(*args)
 
     def get(self, x):
         import ray

@@ -54,6 +54,12 @@ def _parquet_to_entries(path: str) -> List[Entry]:
     )
 
 
+def _sum_pairs(pairs) -> Tuple[int, int]:
+    """Shards' ``(size, dropped)`` pairs, summed."""
+    sizes, dropped = zip(*pairs)
+    return sum(sizes), sum(dropped)
+
+
 class FrontierQueue:
     """Deterministic per-seed priority queue over frontier entries."""
 
@@ -67,7 +73,9 @@ class FrontierQueue:
     def __len__(self) -> int:
         return sum(len(h) for h in self._heaps.values())
 
-    def push(self, entries: Iterable[Entry]) -> None:
+    def push(self, entries: Iterable[Entry]) -> Tuple[int, int]:
+        """Push entries; returns ``(size, dropped)``: the queue's length
+        and its overflow-drop count after the push."""
         over: Set[int] = set()
         for sid, depth, url in entries:
             key = (sid, url)
@@ -93,6 +101,7 @@ class FrontierQueue:
             for _, u in drop:
                 self._members.discard((sid, u))
             self.dropped += len(drop)
+        return len(self), self.dropped
 
     def stage(self, entries: Iterable[Entry]) -> None:
         """Buffer entries for :meth:`commit_staged` (staging calls may
@@ -102,12 +111,10 @@ class FrontierQueue:
     def commit_staged(self) -> Tuple[int, int]:
         """Push the staged entries in canonical (seed_id, depth, url)
         order — the shallowest discovery of a url wins the first-push
-        dedup however the staging calls interleaved.  Returns ``(size,
-        dropped)``: the queue's length and its overflow-drop count after
-        the push."""
+        dedup however the staging calls interleaved.  Returns
+        :meth:`push`'s ``(size, dropped)``."""
         staged, self._staged = sorted(self._staged), []
-        self.push(staged)
-        return len(self), self.dropped
+        return self.push(staged)
 
     def pop_budget(
         self, budget_per_seed: Optional[int] | Dict[int, int] = None
@@ -158,16 +165,16 @@ class FrontierQueue:
         out.sort()
         return out
 
-    def restore_list(self, entries: Iterable[Entry]) -> None:
+    def restore_list(self, entries: Iterable[Entry]) -> Tuple[int, int]:
         self._heaps.clear()
         self._members.clear()
-        self.push([tuple(e) for e in entries])
+        return self.push([tuple(e) for e in entries])
 
     def snapshot_parquet(self, path: str) -> None:
         _entries_to_parquet(self.snapshot_list(), path)
 
-    def restore_parquet(self, path: str) -> None:
-        self.restore_list(_parquet_to_entries(path))
+    def restore_parquet(self, path: str) -> Tuple[int, int]:
+        return self.restore_list(_parquet_to_entries(path))
 
 
 class _FrontierShard(FrontierQueue):
@@ -228,21 +235,21 @@ class ShardedFrontierQueue:
 
         return ray.get([getattr(s, method).remote(*args) for s in self._shards])
 
-    def _routed(self, method: str, items: Iterable) -> list:
-        """``method`` on each owning shard with its share of the entries
-        *items*, routed by ``seed_id % n_shards``."""
-        routed: Dict[int, list] = {}
+    def _routed(self, method: str, items: Iterable) -> Tuple[int, int]:
+        """``method`` on every shard with its share of the entries
+        *items*, routed by ``seed_id % n_shards``; returns the shards'
+        ``(size, dropped)`` summed."""
+        routed: Dict[int, list] = {s: [] for s in range(self._n)}
         for it in items:
-            routed.setdefault(it[0] % self._n, []).append(it)
-        return list(call_shards(self._shards, method, routed).values())
+            routed[it[0] % self._n].append(it)
+        return _sum_pairs(call_shards(self._shards, method, routed).values())
 
-    def push(self, entries: Iterable[Entry]) -> None:
-        self._routed("push", entries)
+    def push(self, entries: Iterable[Entry]) -> Tuple[int, int]:
+        return self._routed("push", entries)
 
     def commit_staged(self) -> Tuple[int, int]:
         """``(size, dropped)`` summed over the shards."""
-        sizes, dropped = zip(*self._each("commit_staged"))
-        return sum(sizes), sum(dropped)
+        return _sum_pairs(self._each("commit_staged"))
 
     @property
     def dropped(self) -> int:
@@ -261,7 +268,7 @@ class ShardedFrontierQueue:
         ray.get([s.snapshot_parquet.remote(f"{path}.shard{i}")
                  for i, s in enumerate(self._shards)])
 
-    def restore_parquet(self, path: str) -> None:
+    def restore_parquet(self, path: str) -> Tuple[int, int]:
         import glob as _glob
 
         import ray
@@ -272,8 +279,9 @@ class ShardedFrontierQueue:
                 f"frontier shard count changed across resume: "
                 f"{len(files)} snapshot files for {self._n} shards"
             )
-        ray.get([s.restore_parquet.remote(f"{path}.shard{i}")
-                 for i, s in enumerate(self._shards)])
+        return _sum_pairs(ray.get([
+            s.restore_parquet.remote(f"{path}.shard{i}")
+            for i, s in enumerate(self._shards)]))
 
     def _split_budget(self, budget):
         """Route a per-seed budget map to owning shards (whole scalar /
@@ -315,5 +323,5 @@ class ShardedFrontierQueue:
         parts = self._each("snapshot_list")
         return sorted(tuple(e) for part in parts for e in part)
 
-    def restore_list(self, entries: Iterable[Entry]) -> None:
-        self._routed("restore_list", entries)
+    def restore_list(self, entries: Iterable[Entry]) -> Tuple[int, int]:
+        return self._routed("restore_list", entries)

@@ -762,3 +762,130 @@ def test_mismatched_shard_counts_resume(smoke_corpus, tmp_path):
     assert [m.already for m in full.metrics][2] > 0
     assert ([m.already for m in resumed.metrics]
             == [m.already for m in full.metrics])
+
+
+@pytest.fixture
+def actor_sets(monkeypatch):
+    """The shard-actor handles of every ``OnActors`` built, in order."""
+    from deepwebharvester_ray.pipelines import crawl_plane
+
+    sets = []
+    real_init = crawl_plane.OnActors.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        sets.append(set(self.shards))
+
+    monkeypatch.setattr(crawl_plane.OnActors, "__init__", init)
+    return sets
+
+
+def _rows(run):
+    return sorted((r["seed_id"], r["url"], r["depth"], r["content_hash"])
+                  for r in run.results_table().to_pylist())
+
+
+def test_warm_actor_set_serves_back_to_back_crawls(smoke_corpus, tmp_path,
+                                                   actor_sets):
+    """Two different actor-placement crawls back to back on one warm
+    shard-actor set each equal their cold run — stats, frontier_dropped
+    and results rows — and are served by the same actors: the reset
+    clears the frontier, the drop count, marks and hashes.  One crawl
+    bounds the frontier so that entries are dropped; the oracle has no
+    frontier bound, so the other crawl is held to the oracle too.  The
+    seed lists overlap, so a leaked content hash would show as a
+    spurious duplicate."""
+    from deepwebharvester_ray.pipelines import crawl_plane
+
+    seeds = corpus.seed_urls(8)
+    crawls = {
+        "bounded": (seeds[:6], CrawlSettings(
+            max_depth=2, frontier_max_per_seed=2, frontier_shards=2)),
+        "plain": (seeds[2:], CrawlSettings(max_depth=2, frontier_shards=2)),
+    }
+    cold = {}
+    for name, (s, cfg) in crawls.items():
+        crawl_plane._SHARD_SETS.clear()  # a cold start for each
+        cold[name] = run_crawl(smoke_corpus, s, cfg,
+                               run_dir=str(tmp_path / f"cold_{name}"))
+    assert cold["bounded"].stats["frontier_dropped"] > 0
+    warm = {name: run_crawl(smoke_corpus, s, cfg,
+                            run_dir=str(tmp_path / f"warm_{name}"))
+            for name, (s, cfg) in crawls.items()}
+    for name in crawls:
+        assert warm[name].stats == cold[name].stats, name
+        assert _rows(warm[name]) == _rows(cold[name]), name
+    s, cfg = crawls["plain"]
+    _compare(warm["plain"], oracle.crawl_oracle(
+        oracle.load_corpus_map(smoke_corpus), s, cfg))
+    # the cold plain run's actors served both warm runs
+    assert len(actor_sets) == 4
+    assert actor_sets[1] == actor_sets[2] == actor_sets[3]
+    assert actor_sets[0].isdisjoint(actor_sets[1])
+
+
+def test_crawl_after_raised_crawl_matches_oracle(smoke_corpus, tmp_path,
+                                                 monkeypatch, actor_sets):
+    """A crawl that raises inside generation 1 — after that generation's
+    commit inserted marks and its link expansion staged entries onto the
+    shards — leaks nothing into the next crawl: its actor set is never
+    reused, and the next crawl of the same seeds matches the oracle."""
+    import os
+
+    from deepwebharvester_ray.pipelines import crawl as crawl_mod
+    from deepwebharvester_ray.pipelines import crawl_plane
+
+    marker = str(tmp_path / "gen0_expanded")
+
+    def expand(*args):  # runs in a Ray worker: the marker counts calls
+        n = crawl_plane._expand(*args)
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            raise RuntimeError("expand failed in generation 1")
+        return n
+
+    seeds = corpus.seed_urls(6)
+    cfg = CrawlSettings(max_depth=2, frontier_shards=2)
+    monkeypatch.setattr(crawl_mod, "_expand", expand)
+    with pytest.raises(RuntimeError, match="generation 1"):
+        run_crawl(smoke_corpus, seeds, cfg, run_dir=str(tmp_path / "bad"))
+    monkeypatch.setattr(crawl_mod, "_expand", crawl_plane._expand)
+
+    run = run_crawl(smoke_corpus, seeds, cfg, run_dir=str(tmp_path / "ok"))
+    _compare(run, oracle.crawl_oracle(
+        oracle.load_corpus_map(smoke_corpus), seeds, cfg))
+    assert actor_sets[0].isdisjoint(actor_sets[1])
+
+
+def test_dead_cached_shard_actor_is_replaced(smoke_corpus, tmp_path,
+                                             actor_sets):
+    """A cached shard actor that died between runs fails the next run's
+    reset; that run starts a new set and matches the oracle."""
+    import ray
+
+    seeds = corpus.seed_urls(4)
+    cfg = CrawlSettings(max_depth=2, frontier_shards=2)
+    run_crawl(smoke_corpus, seeds, cfg, run_dir=str(tmp_path / "first"))
+    ray.kill(next(iter(actor_sets[0])))
+    run = run_crawl(smoke_corpus, seeds, cfg, run_dir=str(tmp_path / "next"))
+    _compare(run, oracle.crawl_oracle(
+        oracle.load_corpus_map(smoke_corpus), seeds, cfg))
+    assert actor_sets[0].isdisjoint(actor_sets[1])
+
+
+def test_crawl_leaves_no_ray_data_executor(smoke_corpus, tmp_path):
+    """Every Ray Data execution leaves a StreamingExecutor reference
+    cycle that pins its blocks in the object store; run_crawl collects
+    them before it returns."""
+    import gc
+
+    def executors():
+        return {id(o) for o in gc.get_objects()
+                if type(o).__name__ == "StreamingExecutor"}
+
+    gc.collect()  # garbage from earlier tests
+    before = executors()
+    run_crawl(smoke_corpus, corpus.seed_urls(4), CrawlSettings(max_depth=1),
+              run_dir=str(tmp_path / "run"))
+    assert not executors() - before

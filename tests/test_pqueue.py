@@ -64,6 +64,29 @@ def test_sharded_queue(ray_session):
     assert q.dropped == 0
 
 
+def test_push_and_restore_return_size_and_dropped(ray_session, tmp_path):
+    """push, commit_staged and restore_parquet return the queue's
+    (size, dropped) after the call, summed over every shard on the
+    sharded queue — the crawl reads its starting counts from them."""
+    import ray
+
+    entries = [(sid, 1, f"http://h/{sid}-{i}") for sid in range(4)
+               for i in range(3)]
+    for q in (FrontierQueue(max_per_seed=2),
+              ShardedFrontierQueue(n_shards=3, max_per_seed=2)):
+        assert q.push(entries[:1]) == (1, 0)
+        assert q.push(entries) == (8, 4)
+        staged = [(0, 0, "http://h/0-first")]  # seed 0 lives on shard 0
+        if isinstance(q, FrontierQueue):
+            q.stage(staged)
+        else:
+            ray.get(q.shard_handles[0].stage.remote(staged))
+        assert q.commit_staged() == (8, 5)
+        path = str(tmp_path / f"{type(q).__name__}.parquet")
+        q.snapshot_parquet(path)
+        assert q.restore_parquet(path) == (8, 5)
+
+
 def test_crawl_budget_mode_defers_not_abandons(ray_session, smoke_corpus, tmp_path):
     """With max_fetch_per_gen set, a seed schedules ≤ k URLs per generation
     and catches up over extra generations: the final results equal the
