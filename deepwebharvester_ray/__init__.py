@@ -30,7 +30,27 @@ REPO_ROOT = str(_Path(__file__).resolve().parent.parent)
 def runtime_env() -> dict:
     """Runtime env ensuring Ray workers can import this package even when
     the driver's cwd / sys.path doesn't include the repo root (the package
-    is path-imported, not pip-installed)."""
+    is path-imported, not pip-installed).
+
+    Empty when the current job (or, inside a task, the task's own
+    runtime env) already puts the repo root on ``PYTHONPATH``: an empty
+    env inherits it.  A task-level env that differs from the job's runs
+    on its own worker pool, so a session started with
+    ``ray.init(runtime_env=runtime_env())`` keeps one pool for its own
+    and Ray Data's internal tasks instead of starting and killing
+    workers of both kinds in turn."""
+    if _inherits_repo_path():
+        return {}
     existing = _os.environ.get("PYTHONPATH", "")
     path = REPO_ROOT if not existing else f"{REPO_ROOT}:{existing}"
     return {"env_vars": {"PYTHONPATH": path}}
+
+
+def _inherits_repo_path() -> bool:
+    import ray
+
+    if not ray.is_initialized():
+        return False
+    env = ray.get_runtime_context().runtime_env or {}
+    path = (env.get("env_vars") or {}).get("PYTHONPATH", "")
+    return REPO_ROOT in path.split(":")

@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from . import runtime_env
 from .config import CrawlSettings, load_settings
 
 logger = logging.getLogger(__name__)
@@ -160,7 +161,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # honor an externally provided cluster address (RAY_ADDRESS);
         # fall back to a fresh local session
         ray.init(address=os.environ.get("RAY_ADDRESS", "local"),
-                 include_dashboard=False,
+                 include_dashboard=False, runtime_env=runtime_env(),
                  logging_level="ERROR", log_to_driver=args.verbose)
 
     from .pipelines.crawl import run_crawl

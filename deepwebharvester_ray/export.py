@@ -23,6 +23,8 @@ from typing import List, Optional
 import numpy as np
 import pyarrow as pa
 
+from . import runtime_env
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -63,7 +65,7 @@ def _ray_init():
     if not ray.is_initialized():
         ray.init(address=os.environ.get("RAY_ADDRESS", "local"),
                  include_dashboard=False, logging_level="ERROR",
-                 log_to_driver=False)
+                 log_to_driver=False, runtime_env=runtime_env())
 
 
 def _read_pages(corpus: str):

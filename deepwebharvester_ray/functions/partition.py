@@ -279,10 +279,13 @@ def skew_join(
             pos[pos >= len(h)] = len(h) - 1
             return batch.filter(pa.array(h[pos] == keys))
 
+        # materialized first: to_arrow_refs() on a lazy dataset runs an
+        # extra limit(1) pass to learn the schema, and that pass cancels
+        # the rest of its tasks when it stops
         dim_hot = pa.concat_tables(
             ray.get(right.map_batches(
                 dim_mask, batch_format="pyarrow", runtime_env=runtime_env()
-            ).to_arrow_refs())
+            ).materialize().to_arrow_refs())
         )
         if dim_hot.num_rows == 0:
             # hot fact keys absent from the dimension: inner semantics
@@ -355,8 +358,10 @@ def skew_join(
                     left_key if c == right_key else c
                     for c in b.column_names]),
                 batch_format="pyarrow", runtime_env=runtime_env())
-        lcols = [c for c in left.schema().names if c != left_key]
-        rcols = [c for c in right.schema().names if c != right_key]
+        # column names from the materialized inputs: schema() on the
+        # lazy ones would run a limit(1) pass
+        lcols = [c for c in cl.schema().names if c != left_key]
+        rcols = [c for c in cr.schema().names if c != right_key]
         cold_half = merge_join(cl, rr, left_key, lcols, rcols,
                                shuffle_partitions=num_partitions)
     else:
@@ -367,5 +372,7 @@ def skew_join(
         return cold_half
     if cold_half is None:
         return hot_half
-    cols = hot_half.schema().names
+    # attach() appends the payload columns to the fact columns, which
+    # the cold side's materialized cl carries in the same order
+    cols = cl.schema().names + payload_cols
     return hot_half.union(cold_half.select_columns(cols))

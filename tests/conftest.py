@@ -16,11 +16,16 @@ SF_CORRECT = "/root/testdata/sf0.01"
 def ray_session():
     import ray
 
+    from deepwebharvester_ray import runtime_env
+
+    # the job-level env lets every task inherit the package path, so the
+    # library's tasks and Ray Data's internal tasks share one worker pool
     ray.init(
         address="local",
         num_cpus=4,
         include_dashboard=False,
         ignore_reinit_error=True,
+        runtime_env=runtime_env(),
     )
     yield
     ray.shutdown()

@@ -131,3 +131,28 @@ def test_export_cli_warc_and_diff(ray_session, tmp_path):
     out_s = tmp_path / "sm"
     rc = export_main(["sitemap", "--corpus", cdir, "--out", str(out_s)])
     assert rc == 0 and (out_s / "sitemap_index.xml").exists()
+
+
+def test_runtime_env_empty_when_job_env_carries_repo_path(monkeypatch):
+    """The session's job env (conftest, and the CLI's own ray.init)
+    puts the repo on PYTHONPATH, so the library's per-task env is empty
+    and a task still imports the package through the inherited env;
+    before a session exists the env carries the path itself."""
+    import ray
+
+    from deepwebharvester_ray import REPO_ROOT, runtime_env
+
+    job_path = ray.get_runtime_context().runtime_env["env_vars"]["PYTHONPATH"]
+    assert REPO_ROOT in job_path.split(":")
+    assert runtime_env() == {}
+
+    @ray.remote(num_cpus=0, runtime_env=runtime_env())
+    def probe():
+        import deepwebharvester_ray
+
+        return deepwebharvester_ray.REPO_ROOT, deepwebharvester_ray.runtime_env()
+
+    assert ray.get(probe.remote()) == (REPO_ROOT, {})
+
+    monkeypatch.setattr(ray, "is_initialized", lambda: False)
+    assert runtime_env()["env_vars"]["PYTHONPATH"].split(":")[0] == REPO_ROOT
