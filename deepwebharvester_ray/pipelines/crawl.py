@@ -5,12 +5,15 @@ pipelines/crawl_plane.py:
 
     pop + prep (mark filter + blacklist/robots, one call per shard)
       → fetch+extract: read_parquet(corpus buckets of the fetch hosts)
-                         → map_batches(fetch_extract_task)   ← url∈fetch-set filter + HTML extract
+                         → map_batches(fetch_extract_task)   ← url∈fetch-set filter + HTML extract (+ intelligence)
       → meta → replay (state.scheduler, reference control flow)
       → commit (seen-set inserts)
-      → results write: map_batches(_finalize_accepted) → write_parquet(run_dir/results/gen=K)
-      → link expansion (staged onto the frontier, committed canonically)
+      → results write (accepted rows → run_dir/results/gen=K, one file)
+        ∥ link expansion (staged onto the frontier, committed canonically)
       → checkpoint (seen-set deltas, frontier snapshot, lineage manifest)
+
+The fetch+extract map is the generation's one Ray Data execution; every
+later step reads its blocks (``to_arrow_refs``).
 
 Where the control state lives — in this process, or on Ray actors with
 every step a Ray task — is chosen once per run from the frontier shard
@@ -58,13 +61,13 @@ from .crawl_plane import (
     SCANNER_CAP,
     InProcess,
     OnActors,
-    _build_accept_arrays,
     _build_meta,
     _commit,
     _expand,
     _fetch_hashes,
     _replay,
     _restore_delta,
+    _write_results,
     hash_lookup,
 )
 
@@ -146,23 +149,6 @@ def fetch_extract_task(
     return out
 
 
-def _finalize_accepted(batch: pa.Table, acc_ref=None) -> pa.Table:
-    """Accepted-row filter for the results write: broadcast PARALLEL
-    ARRAYS sorted by url hash — membership and (seed_id, depth) lookup
-    are one :func:`~.crawl_plane.hash_lookup` per batch (a 64-bit hash
-    collision between a fetched-but-rejected and an accepted URL is the
-    only way to misroute a row — negligible and bounded)."""
-    from ..broadcast import cached_get
-
-    h, sids, depths = cached_get(acc_ref)
-    idx, mask = hash_lookup(h, batch.column("url").to_pylist())
-    kept = batch.filter(pa.array(mask)).drop_columns(["links"])
-    sel = idx[mask]
-    kept = kept.append_column("depth", pa.array(depths[sel], pa.int32()))
-    kept = kept.append_column("seed_id", pa.array(sids[sel], pa.int32()))
-    return kept
-
-
 @dataclass
 class GenerationMetrics:
     generation: int
@@ -241,9 +227,9 @@ def _bucket_paths(corpus_dir: str, buckets) -> List[str]:
 
 
 def _fetch_extract(corpus_dir: str, cfg: CrawlSettings, pl, infos: list,
-                   hash_parts: list):
-    """Fetch + extract the generation's fetch set from the shards'
-    ``pop_prep`` infos and fetch-hash arrays.
+                   hash_parts: list, with_intel: bool):
+    """Fetch + extract (+ intelligence when *with_intel*) the generation's
+    fetch set from the shards' ``pop_prep`` infos and fetch-hash arrays.
 
     One read of the fetch hosts' corpus buckets (partition pruning),
     filtered in ``fetch_extract_task`` by the generation's sorted url-hash
@@ -269,7 +255,7 @@ def _fetch_extract(corpus_dir: str, cfg: CrawlSettings, pl, infos: list,
         paths, columns=["url", "html"], **read_kwargs
     ).map_batches(
         fetch_extract_task,
-        fn_kwargs={"hashes_ref": pl.ref(hashes)},
+        fn_kwargs={"hashes_ref": pl.ref(hashes), "with_intel": with_intel},
         batch_format="pyarrow",
         batch_size=cfg.extract_batch_size,
         runtime_env=runtime_env(),
@@ -337,7 +323,7 @@ def _generation(
     frontier, writes the results partition and the seen-set deltas, and
     returns ``(fetch digest, frontier size, frontier dropped)`` — the
     digest is an ObjectRef on the actor placement; the two counts come
-    from the frontier's ``commit_staged()``."""
+    from the frontier's ``commit_staged()`` (drops since this run began)."""
     inactive = frozenset(
         sid for sid, st in states.items()
         if st.exhausted or st.pages >= cfg.max_pages
@@ -350,11 +336,8 @@ def _generation(
     gm.already = sum(i["already"] for i in infos)
     gm.candidates = sum(i["n_candidates"] for i in infos)
 
-    gen_results_dir = results_root / f"gen={gen}"
-    if gen_results_dir.exists():
-        shutil.rmtree(gen_results_dir)  # idempotent partition overwrite
     fetched_ds, digest = _fetch_extract(
-        corpus_dir, cfg, pl, infos, [p[1] for p in preps])
+        corpus_dir, cfg, pl, infos, [p[1] for p in preps], with_intel)
     blocks = fetched_ds.to_arrow_refs() if fetched_ds is not None else []
     meta, n_fetched, urls = pl.run(_build_meta, *blocks, num_returns=3)
     gm.fetched = pl.get(n_fetched)
@@ -389,25 +372,10 @@ def _generation(
             on_page_crawled({"url": u, "seed_id": sid, "depth": d,
                              "content_hash": h})
 
-    if gm.success:
-        out_ds = fetched_ds.map_batches(
-            _finalize_accepted,
-            fn_kwargs={"acc_ref": pl.ref(pl.run(_build_accept_arrays,
-                                                accepted))},
-            batch_format="pyarrow",
-            batch_size=cfg.extract_batch_size,
-            runtime_env=runtime_env(),
-        )
-        if with_intel:
-            out_ds = out_ds.map_batches(
-                intelligence_batch,
-                batch_format="pyarrow",
-                batch_size=cfg.extract_batch_size,
-                runtime_env=runtime_env(),
-            )
-        out_ds.write_parquet(str(gen_results_dir))
-
-    pl.get(pl.run(_expand, cfg.max_depth, propagate, pl.shards, *blocks))
+    pl.get([
+        pl.run(_write_results, accepted, str(results_root / f"gen={gen}"),
+               *blocks),
+        pl.run(_expand, cfg.max_depth, propagate, pl.shards, *blocks)])
     return (digest, *pl.frontier.commit_staged())
 
 
@@ -497,9 +465,11 @@ def run_crawl(
     pl = OnActors(cfg, n_shards) if n_shards else InProcess(cfg)
     frontier = pl.frontier
     # the frontier's (size, dropped) is read here once per run; each
-    # generation's commit_staged() returns it after that
+    # generation's commit_staged() returns it after that.  The shards
+    # count this run's drops; a resume adds the checkpoint's on top.
     size, dropped = frontier.push(
         [(sid, 0, u) for sid, u in enumerate(valid_seeds)])
+    prior_dropped = 0
 
     start_gen = 0
     if manifest is not None:
@@ -521,10 +491,11 @@ def run_crawl(
                 int(k): SeedState.from_dict(v)
                 for k, v in last["seed_states"].items()
             }
-            size, _ = frontier.restore_parquet(
+            size, restored = frontier.restore_parquet(
                 str(state_root / f"frontier_gen{last['generation']}.parquet")
             )
-            dropped = frontier.dropped = int(last["frontier_dropped"])
+            dropped = int(last["frontier_dropped"])
+            prior_dropped = dropped - restored
             metrics = [GenerationMetrics(**m) for m in manifest["metrics"]]
     else:
         # fresh run: purge stale partitions/state a previous (longer or
@@ -578,6 +549,7 @@ def run_crawl(
             fetched_urls_per_gen if track_fetched_urls else None,
             pop_budget,
         )
+        dropped += prior_dropped
         gm.deferred = size
         gm.wall_time_s = time.monotonic() - t_gen
         metrics.append(gm)

@@ -19,7 +19,8 @@ and a digest-routed slice of the content-hash set.  Every generation of
   in canonical order, plus the generation's checkpoint delta files.
 * :func:`_commit` — the mark and hash inserts, after the replay
   returned.
-* :func:`_build_accept_arrays` — the results-write filter's broadcast.
+* :func:`_write_results` — the accepted rows of the fetched blocks,
+  written as the generation's one results file.
 * :func:`_expand` — propagated pages' links staged onto their frontier
   shards, straight from the fetched blocks.
 * :func:`_restore_delta` — the resume-side seen-set restore.
@@ -51,6 +52,8 @@ are idempotent, so a killed-and-retried commit is harmless too.
 from __future__ import annotations
 
 import hashlib
+import shutil
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -315,16 +318,29 @@ def _commit(cfg: CrawlSettings, shards, mark_keys, new_hashes) -> int:
     return n
 
 
-def _build_accept_arrays(accepted: pa.Table):
-    """Broadcast arrays for the results-write filter
-    (``crawl._finalize_accepted``): (url hash sorted, seed_id, depth)."""
-    h = batch_url_hash64(accepted.column("url").to_pylist())
-    order = np.argsort(h)
-    return (
-        h[order],
-        accepted.column("sid").to_numpy().astype(np.int32)[order],
-        accepted.column("depth").to_numpy().astype(np.int32)[order],
-    )
+def _write_results(accepted: pa.Table, out_dir: str, *blocks) -> int:
+    """Write the results partition *out_dir* as one parquet file: the
+    fetched rows whose url the replay accepted (exact Arrow matching),
+    without ``links``, with ``depth`` and ``seed_id`` after the extract
+    columns, sorted by ``(seed_id, url)``.  A retry rewrites the same
+    file; no accepted row, no file.  Returns the number of rows."""
+    shutil.rmtree(out_dir, ignore_errors=True)  # idempotent overwrite
+    urls = accepted.column("url")
+    kept = [b.drop_columns(["links"]).filter(
+                pc.is_in(b.column("url"), value_set=urls))
+            for b in blocks if b.num_rows]  # an empty block has no columns
+    if not sum(t.num_rows for t in kept):
+        return 0
+    rows = pa.concat_tables(kept)
+    idx = pc.index_in(rows.column("url"), value_set=urls)
+    at = rows.schema.get_field_index("crawl_time") + 1  # intel cols follow
+    rows = rows.add_column(at, "depth", accepted.column("depth").take(idx))
+    rows = rows.add_column(at + 1, "seed_id", accepted.column("sid").take(idx))
+    Path(out_dir).mkdir(parents=True)
+    pq.write_table(
+        rows.sort_by([("seed_id", "ascending"), ("url", "ascending")]),
+        str(Path(out_dir) / "part-0.parquet"))
+    return rows.num_rows
 
 
 def _expand(max_depth: int, propagate: pa.Table, shards, *blocks) -> int:

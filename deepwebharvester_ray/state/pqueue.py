@@ -184,12 +184,6 @@ class _FrontierShard(FrontierQueue):
     def size(self) -> int:
         return len(self)
 
-    def get_dropped(self) -> int:
-        return self.dropped
-
-    def set_dropped(self, n: int) -> None:
-        self.dropped = n
-
 
 class ShardedFrontierQueue:
     """Ray-actor shard pool over :class:`FrontierQueue` (cluster path).
@@ -250,17 +244,6 @@ class ShardedFrontierQueue:
     def commit_staged(self) -> Tuple[int, int]:
         """``(size, dropped)`` summed over the shards."""
         return _sum_pairs(self._each("commit_staged"))
-
-    @property
-    def dropped(self) -> int:
-        return sum(self._each("get_dropped"))
-
-    @dropped.setter
-    def dropped(self, n: int) -> None:
-        import ray
-
-        ray.get([s.set_dropped.remote(n if i == 0 else 0)
-                 for i, s in enumerate(self._shards)])
 
     def snapshot_parquet(self, path: str) -> None:
         import ray

@@ -177,12 +177,24 @@ def test_on_page_crawled_callback(smoke_corpus, tmp_path):
         assert rows == sorted(rows), d
 
 
+def _leave_stray_partition_file(run_dir):
+    """A crashed generation 1's leftovers: gen=1 also holds a stray file
+    with generation 0's rows (counted twice if resume kept it), and
+    gen=2 is gone."""
+    import shutil
+    from pathlib import Path
+
+    results = Path(run_dir, "results")
+    (gen0_file,) = (results / "gen=0").glob("*.parquet")
+    shutil.copy(gen0_file, results / "gen=1" / "stray.parquet")
+    shutil.rmtree(results / "gen=2", ignore_errors=True)
+
+
 def test_resume_after_midgeneration_crash(smoke_corpus, tmp_path):
     """A crash mid-generation leaves a PARTIAL results dir and no manifest
     entry for it; resume must overwrite the partial partition idempotently
     and converge to the uninterrupted run."""
     import json
-    import shutil
     from pathlib import Path
 
     seeds = corpus.seed_urls(3)
@@ -199,13 +211,9 @@ def test_resume_after_midgeneration_crash(smoke_corpus, tmp_path):
         g for g in manifest["generations"] if g["generation"] <= 0
     ]
     mpath.write_text(json.dumps(manifest))
-    # …but a half-written gen=1 partition is on disk (simulate by keeping
-    # only SOME of its files and corrupting nothing else)
-    gen1 = Path(part_dir, "results", "gen=1")
-    files = sorted(gen1.rglob("*.parquet"))
-    for f in files[1:]:
-        f.unlink()
-    shutil.rmtree(Path(part_dir, "results", "gen=2"), ignore_errors=True)
+    # …but a half-written gen=1 partition is on disk: a leftover file
+    # the resumed generation must not keep
+    _leave_stray_partition_file(part_dir)
 
     resumed = run_crawl(smoke_corpus, seeds, cfg, run_dir=part_dir, resume=True)
     assert resumed.stats == full.stats
@@ -581,7 +589,6 @@ def test_resume_after_midgeneration_crash_dataplane(smoke_corpus,
     incomplete generation must be overwritten idempotently, converging
     to the uninterrupted run."""
     import json
-    import shutil
     from pathlib import Path
 
     seeds = corpus.seed_urls(4)
@@ -598,12 +605,7 @@ def test_resume_after_midgeneration_crash_dataplane(smoke_corpus,
         g for g in manifest["generations"] if g["generation"] <= 0
     ]
     mpath.write_text(json.dumps(manifest))
-    gen1 = Path(part_dir, "results", "gen=1")
-    files = sorted(gen1.rglob("*.parquet"))
-    for f in files[1:]:
-        f.unlink()
-    shutil.rmtree(Path(part_dir, "results", "gen=2"),
-                  ignore_errors=True)
+    _leave_stray_partition_file(part_dir)
     # the incomplete generation's delta files linger on disk
     state = Path(part_dir, "state")
     assert (state / "marks_delta_gen1.parquet").exists()
@@ -722,7 +724,7 @@ def test_mismatched_shard_counts_conformance(smoke_corpus, tmp_path,
     assert act.stats["pages_crawled"] > 0
     _compare(act, trace)
     assert steps == {"_fetch_hashes", "_build_meta", "_replay", "_commit",
-                     "_build_accept_arrays", "_expand"}
+                     "_write_results", "_expand"}
 
     inp = run_crawl(smoke_corpus, seeds,
                     CrawlSettings(**base, frontier_shards=0),
@@ -889,3 +891,54 @@ def test_crawl_leaves_no_ray_data_executor(smoke_corpus, tmp_path):
     run_crawl(smoke_corpus, corpus.seed_urls(4), CrawlSettings(max_depth=1),
               run_dir=str(tmp_path / "run"))
     assert not executors() - before
+
+
+def test_one_ray_data_execution_per_generation(smoke_corpus, tmp_path,
+                                               monkeypatch):
+    """A generation runs one Ray Data execution — the fetch+extract map;
+    the results write is a step over its blocks — and writes one results
+    file per gen=K, rows in (seed_id, url) order.  Both placements write
+    equal rows in the same order with the same schema, with and without
+    intelligence; the intelligence columns follow depth and seed_id."""
+    from pathlib import Path
+
+    import pyarrow.parquet as pq
+    import ray.data
+
+    calls = []
+    for name in ("materialize", "write_parquet"):
+        def counted(self, *args, _real=getattr(ray.data.Dataset, name),
+                    _name=name, **kwargs):
+            calls.append(_name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ray.data.Dataset, name, counted)
+    seeds = corpus.seed_urls(4)
+    tables = {}
+    for with_intel in (False, True):
+        for shards in (0, 2):
+            calls.clear()
+            run = run_crawl(
+                smoke_corpus, seeds,
+                CrawlSettings(max_depth=2, frontier_shards=shards),
+                run_dir=str(tmp_path / f"run{shards}_{with_intel}"),
+                with_intel=with_intel)
+            assert len(run.metrics) == 3
+            assert calls == ["materialize"] * len(run.metrics)
+            for m in run.metrics:
+                assert m.success > 0
+                (f,) = Path(run.results_path,
+                            f"gen={m.generation}").glob("*.parquet")
+                t = pq.read_table(f, columns=["seed_id", "url"])
+                keys = list(zip(t.column("seed_id").to_pylist(),
+                                t.column("url").to_pylist()))
+                assert keys == sorted(keys)
+            tables[with_intel, shards] = run.results_table().drop_columns(
+                ["crawl_time"])
+    for with_intel in (False, True):
+        assert tables[with_intel, 0].equals(tables[with_intel, 2])
+    plain, intel = tables[False, 0], tables[True, 0]
+    assert plain.column_names[-2:] == ["depth", "seed_id"]
+    assert intel.column_names[:len(plain.column_names)] == plain.column_names
+    assert "risk_label" in intel.column_names
+    assert intel.select(plain.column_names).equals(plain)

@@ -61,7 +61,7 @@ def test_sharded_queue(ray_session):
     q2 = ShardedFrontierQueue(n_shards=3)
     q2.restore_list(snap)
     assert q2.snapshot_list() == snap
-    assert q.dropped == 0
+    assert q.commit_staged()[1] == 0
 
 
 def test_push_and_restore_return_size_and_dropped(ray_session, tmp_path):
