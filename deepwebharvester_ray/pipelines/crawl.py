@@ -5,10 +5,10 @@ pipelines/crawl_plane.py:
 
     pop + prep (mark filter + blacklist/robots, one call per shard)
       → fetch+extract: read_parquet(corpus buckets of the fetch hosts)
-                         → map_batches(fetch_extract_task)   ← url∈fetch-set filter + HTML extract (+ intelligence)
+                         → map_batches(fetch_extract_task)   ← url∈fetch-set filter + HTML extract
       → meta → replay (state.scheduler, reference control flow)
       → commit (seen-set inserts)
-      → results write (accepted rows → run_dir/results/gen=K, one file)
+      → results write (accepted rows + intelligence → run_dir/results/gen=K, one file)
         ∥ link expansion (staged onto the frontier, committed canonically)
       → checkpoint (seen-set deltas, frontier snapshot, lineage manifest)
 
@@ -227,9 +227,9 @@ def _bucket_paths(corpus_dir: str, buckets) -> List[str]:
 
 
 def _fetch_extract(corpus_dir: str, cfg: CrawlSettings, pl, infos: list,
-                   hash_parts: list, with_intel: bool):
-    """Fetch + extract (+ intelligence when *with_intel*) the generation's
-    fetch set from the shards' ``pop_prep`` infos and fetch-hash arrays.
+                   hash_parts: list):
+    """Fetch + extract the generation's fetch set from the shards'
+    ``pop_prep`` infos and fetch-hash arrays.
 
     One read of the fetch hosts' corpus buckets (partition pruning),
     filtered in ``fetch_extract_task`` by the generation's sorted url-hash
@@ -255,7 +255,7 @@ def _fetch_extract(corpus_dir: str, cfg: CrawlSettings, pl, infos: list,
         paths, columns=["url", "html"], **read_kwargs
     ).map_batches(
         fetch_extract_task,
-        fn_kwargs={"hashes_ref": pl.ref(hashes), "with_intel": with_intel},
+        fn_kwargs={"hashes_ref": pl.ref(hashes)},
         batch_format="pyarrow",
         batch_size=cfg.extract_batch_size,
         runtime_env=runtime_env(),
@@ -337,7 +337,7 @@ def _generation(
     gm.candidates = sum(i["n_candidates"] for i in infos)
 
     fetched_ds, digest = _fetch_extract(
-        corpus_dir, cfg, pl, infos, [p[1] for p in preps], with_intel)
+        corpus_dir, cfg, pl, infos, [p[1] for p in preps])
     blocks = fetched_ds.to_arrow_refs() if fetched_ds is not None else []
     meta, n_fetched, urls = pl.run(_build_meta, *blocks, num_returns=3)
     gm.fetched = pl.get(n_fetched)
@@ -374,7 +374,7 @@ def _generation(
 
     pl.get([
         pl.run(_write_results, accepted, str(results_root / f"gen={gen}"),
-               *blocks),
+               with_intel, *blocks),
         pl.run(_expand, cfg.max_depth, propagate, pl.shards, *blocks)])
     return (digest, *pl.frontier.commit_staged())
 

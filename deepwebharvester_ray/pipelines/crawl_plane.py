@@ -62,6 +62,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import CrawlSettings
+from ..intelligence import intelligence_batch
 from ..state import call_shards
 from ..state.pqueue import ShardedFrontierQueue, _FrontierShard
 from ..state.scheduler import BLACKLISTED, Candidate, replay_generation
@@ -318,12 +319,14 @@ def _commit(cfg: CrawlSettings, shards, mark_keys, new_hashes) -> int:
     return n
 
 
-def _write_results(accepted: pa.Table, out_dir: str, *blocks) -> int:
+def _write_results(accepted: pa.Table, out_dir: str, with_intel: bool,
+                   *blocks) -> int:
     """Write the results partition *out_dir* as one parquet file: the
     fetched rows whose url the replay accepted (exact Arrow matching),
     without ``links``, with ``depth`` and ``seed_id`` after the extract
-    columns, sorted by ``(seed_id, url)``.  A retry rewrites the same
-    file; no accepted row, no file.  Returns the number of rows."""
+    columns and, when *with_intel*, the intelligence columns after those,
+    sorted by ``(seed_id, url)``.  A retry rewrites the same file; no
+    accepted row, no file.  Returns the number of rows."""
     shutil.rmtree(out_dir, ignore_errors=True)  # idempotent overwrite
     urls = accepted.column("url")
     kept = [b.drop_columns(["links"]).filter(
@@ -333,13 +336,13 @@ def _write_results(accepted: pa.Table, out_dir: str, *blocks) -> int:
         return 0
     rows = pa.concat_tables(kept)
     idx = pc.index_in(rows.column("url"), value_set=urls)
-    at = rows.schema.get_field_index("crawl_time") + 1  # intel cols follow
-    rows = rows.add_column(at, "depth", accepted.column("depth").take(idx))
-    rows = rows.add_column(at + 1, "seed_id", accepted.column("sid").take(idx))
+    rows = rows.append_column("depth", accepted.column("depth").take(idx))
+    rows = rows.append_column("seed_id", accepted.column("sid").take(idx))
+    rows = rows.sort_by([("seed_id", "ascending"), ("url", "ascending")])
+    if with_intel:  # accepted rows only: the rest of the fetch is dropped
+        rows = intelligence_batch(rows)
     Path(out_dir).mkdir(parents=True)
-    pq.write_table(
-        rows.sort_by([("seed_id", "ascending"), ("url", "ascending")]),
-        str(Path(out_dir) / "part-0.parquet"))
+    pq.write_table(rows, str(Path(out_dir) / "part-0.parquet"))
     return rows.num_rows
 
 

@@ -899,11 +899,14 @@ def test_one_ray_data_execution_per_generation(smoke_corpus, tmp_path,
     the results write is a step over its blocks — and writes one results
     file per gen=K, rows in (seed_id, url) order.  Both placements write
     equal rows in the same order with the same schema, with and without
-    intelligence; the intelligence columns follow depth and seed_id."""
+    intelligence; the intelligence columns follow depth and seed_id, and
+    intelligence runs on the accepted rows only (counted in process)."""
     from pathlib import Path
 
     import pyarrow.parquet as pq
     import ray.data
+
+    from deepwebharvester_ray.pipelines import crawl_plane
 
     calls = []
     for name in ("materialize", "write_parquet"):
@@ -913,11 +916,17 @@ def test_one_ray_data_execution_per_generation(smoke_corpus, tmp_path,
             return _real(self, *args, **kwargs)
 
         monkeypatch.setattr(ray.data.Dataset, name, counted)
+    intel_rows = []
+    monkeypatch.setattr(
+        crawl_plane, "intelligence_batch",
+        lambda t, _real=crawl_plane.intelligence_batch:
+            intel_rows.append(t.num_rows) or _real(t))
     seeds = corpus.seed_urls(4)
     tables = {}
     for with_intel in (False, True):
         for shards in (0, 2):
             calls.clear()
+            intel_rows.clear()
             run = run_crawl(
                 smoke_corpus, seeds,
                 CrawlSettings(max_depth=2, frontier_shards=shards),
@@ -935,6 +944,10 @@ def test_one_ray_data_execution_per_generation(smoke_corpus, tmp_path,
                 assert keys == sorted(keys)
             tables[with_intel, shards] = run.results_table().drop_columns(
                 ["crawl_time"])
+            if shards == 0:  # the write step runs in this process
+                assert sum(intel_rows) == (
+                    tables[with_intel, shards].num_rows if with_intel else 0)
+                assert sum(m.fetched for m in run.metrics) > sum(intel_rows)
     for with_intel in (False, True):
         assert tables[with_intel, 0].equals(tables[with_intel, 2])
     plain, intel = tables[False, 0], tables[True, 0]
