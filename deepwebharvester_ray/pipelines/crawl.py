@@ -6,14 +6,14 @@ pipelines/crawl_plane.py:
     pop + prep (mark filter + blacklist/robots, one call per shard)
       → fetch+extract: read_parquet(corpus buckets of the fetch hosts)
                          → map_batches(fetch_extract_task)   ← url∈fetch-set filter + HTML extract
-      → meta → replay (state.scheduler, reference control flow)
-      → commit (seen-set inserts)
-      → results write (accepted rows + intelligence → run_dir/results/gen=K, one file)
-        ∥ link expansion (staged onto the frontier, committed canonically)
+      → replay (state.scheduler, reference control flow)
+          + results write (accepted rows + intelligence → run_dir/results/gen=K, one file)
+          + link expansion (staged onto the frontier)
+      → commit (seen-set inserts) → commit_staged (staged links, canonical order)
       → checkpoint (seen-set deltas, frontier snapshot, lineage manifest)
 
-The fetch+extract map is the generation's one Ray Data execution; every
-later step reads its blocks (``to_arrow_refs``).
+The fetch+extract map is the generation's one Ray Data execution; the
+replay is the one step that reads its blocks (``to_arrow_refs``).
 
 Where the control state lives — in this process, or on Ray actors with
 every step a Ray task — is chosen once per run from the frontier shard
@@ -61,13 +61,10 @@ from .crawl_plane import (
     SCANNER_CAP,
     InProcess,
     OnActors,
-    _build_meta,
     _commit,
-    _expand,
     _fetch_hashes,
     _replay,
     _restore_delta,
-    _write_results,
     hash_lookup,
 )
 
@@ -137,8 +134,8 @@ def fetch_extract_task(
     """
     from ..broadcast import cached_get
 
-    _, mask = hash_lookup(cached_get(hashes_ref),
-                          batch.column("url").to_pylist())
+    mask = hash_lookup(cached_get(hashes_ref),
+                       batch.column("url").to_pylist())
     if not mask.all():
         batch = batch.filter(pa.array(mask))
     out = extract_batch(batch)
@@ -321,9 +318,9 @@ def _generation(
     """One generation on placement *pl* (``crawl_plane.InProcess`` or
     ``crawl_plane.OnActors``).  Fills *gm*, updates *states* and the
     frontier, writes the results partition and the seen-set deltas, and
-    returns ``(fetch digest, frontier size, frontier dropped)`` — the
-    digest is an ObjectRef on the actor placement; the two counts come
-    from the frontier's ``commit_staged()`` (drops since this run began)."""
+    returns ``(fetch digest, frontier size, frontier dropped)`` — the two
+    counts come from the frontier's ``commit_staged()`` (drops since
+    this run began)."""
     inactive = frozenset(
         sid for sid, st in states.items()
         if st.exhausted or st.pages >= cfg.max_pages
@@ -338,21 +335,20 @@ def _generation(
 
     fetched_ds, digest = _fetch_extract(
         corpus_dir, cfg, pl, infos, [p[1] for p in preps])
-    blocks = fetched_ds.to_arrow_refs() if fetched_ds is not None else []
-    meta, n_fetched, urls = pl.run(_build_meta, *blocks, num_returns=3)
-    gm.fetched = pl.get(n_fetched)
-    if fetched_urls_per_gen is not None:
-        # O(total pages) driver memory — conformance/test aid only
-        fetched_urls_per_gen.append(set(pl.get(urls)))
-
-    counters, new_states, accepted, propagate, mark_keys, new_hashes = pl.run(
-        _replay, meta, states, cfg, seed_delays, pl.shards,
+    cand_tables = [p[2] for p in preps]
+    counters, new_states, accepted, mark_keys, new_hashes, urls = pl.run(
+        _replay, states, cfg, seed_delays, pl.shards,
         str(state_root / f"marks_delta_gen{gen}.parquet"),
         str(state_root / f"hashes_delta_gen{gen}.parquet"),
-        *[p[2] for p in preps], num_returns=6)
+        str(results_root / f"gen={gen}"), with_intel, len(cand_tables),
+        *cand_tables,
+        *(fetched_ds.to_arrow_refs() if fetched_ds is not None else []),
+        num_returns=6)
     committed = pl.run(_commit, cfg, pl.shards, mark_keys, new_hashes)
-    counters, new_states, _ = pl.get([counters, new_states, committed])
+    counters, new_states, _, digest = pl.get(
+        [counters, new_states, committed, digest])
     states.update(new_states)
+    gm.fetched = counters["fetched"]
     gm.success = counters.get("success", 0)
     gm.failed = counters.get("failed", 0)
     gm.dup = counters.get("dup", 0)
@@ -360,6 +356,9 @@ def _generation(
     gm.blacklisted = counters.get("blacklisted", 0) - gm.robots_blocked
     gm.abandoned = (counters.get("abandoned", 0)
                     + sum(i["abandoned"] for i in infos))
+    if fetched_urls_per_gen is not None:
+        # O(total pages) driver memory — conformance/test aid only
+        fetched_urls_per_gen.append(set(pl.get(urls).to_pylist()))
 
     if on_page_crawled is not None:
         # per-record callback contract (reference crawler.py:96): a
@@ -371,11 +370,6 @@ def _generation(
                 t.column("content_hash").to_pylist())):
             on_page_crawled({"url": u, "seed_id": sid, "depth": d,
                              "content_hash": h})
-
-    pl.get([
-        pl.run(_write_results, accepted, str(results_root / f"gen={gen}"),
-               with_intel, *blocks),
-        pl.run(_expand, cfg.max_depth, propagate, pl.shards, *blocks)])
     return (digest, *pl.frontier.commit_staged())
 
 
@@ -555,7 +549,7 @@ def run_crawl(
         metrics.append(gm)
         _checkpoint_generation(
             frontier, state_root, manifest, manifest_path, metrics, states,
-            gm, gen, pl.get(fetch_digest), size, dropped)
+            gm, gen, fetch_digest, size, dropped)
         gen += 1
     pl.release()
     # each Ray Data execution leaves a StreamingExecutor reference cycle

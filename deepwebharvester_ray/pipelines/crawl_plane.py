@@ -12,17 +12,15 @@ and a digest-routed slice of the content-hash set.  Every generation of
   own shard.
 * :func:`_fetch_hashes` — the generation's fetch-membership array and
   its lineage digest.
-* :func:`_build_meta` — the (url hash → content hash) lookup from the
-  fetched dataset's blocks.
-* :func:`_replay` — the reference control flow (the UNCHANGED
-  ``state.scheduler.replay_generation`` core, one call per generation)
-  in canonical order, plus the generation's checkpoint delta files.
+* :func:`_replay` — the generation's one step after the fetch, over the
+  candidate tables and the fetched dataset's blocks: the reference
+  control flow (the UNCHANGED ``state.scheduler.replay_generation``
+  core, one call per generation) in canonical order, the checkpoint
+  delta files, the results partition (:func:`_write_results`) and the
+  propagated pages' links staged onto their frontier shards
+  (:func:`_expand`).
 * :func:`_commit` — the mark and hash inserts, after the replay
   returned.
-* :func:`_write_results` — the accepted rows of the fetched blocks,
-  written as the generation's one results file.
-* :func:`_expand` — propagated pages' links staged onto their frontier
-  shards, straight from the fetched blocks.
 * :func:`_restore_delta` — the resume-side seen-set restore.
 
 A placement says where the shards live and how a step is called; the
@@ -42,12 +40,17 @@ generation body never branches on it:
   scanner-filter cap — the fetch URL list.  No actor method calls
   another actor.
 
-Retry safety (actor placement): mid-generation tasks are pure, so a task
-SIGKILLed and retried by Ray recomputes the same outputs from the same
-input refs.  Seen-set mutation happens only in :func:`_commit`, which
-consumes the replay's outputs and therefore starts after the replay
-returned: no same-generation read observes its inserts, and set inserts
-are idempotent, so a killed-and-retried commit is harmless too.
+Retry safety (actor placement): a task SIGKILLed and retried by Ray
+re-runs from the same input refs.  The replay's file writes are
+rewrites of the same files; its staging may land twice, and the
+duplicates are dropped by ``commit_staged``'s first-push dedup (an
+entry equal to one already pushed is skipped, and a bounded seed's
+overflow trim runs once per push, after the dedup), so the frontier and
+its drop count come out as from one staging.  Seen-set mutation happens
+only in :func:`_commit`, which consumes the replay's outputs and
+therefore starts after the replay returned: no same-generation read
+observes its inserts, and set inserts are idempotent, so a
+killed-and-retried commit is harmless too.
 """
 from __future__ import annotations
 
@@ -79,16 +82,14 @@ from ..urlops import batch_url_hash64, get_host, is_blacklisted
 SCANNER_CAP = 100_000
 
 
-def hash_lookup(sorted_h: np.ndarray, urls) -> Tuple[np.ndarray, np.ndarray]:
-    """``(idx, found)`` for *urls* in the sorted uint64 url-hash array
-    *sorted_h*: ``found[i]`` iff ``urls[i]``'s hash is ``sorted_h[idx[i]]``
-    (``idx`` is clipped into range, so it indexes parallel arrays too)."""
+def hash_lookup(sorted_h: np.ndarray, urls) -> np.ndarray:
+    """``found[i]`` iff ``urls[i]``'s url hash is in the sorted uint64
+    url-hash array *sorted_h*."""
     bh = batch_url_hash64(urls)
-    idx = np.searchsorted(sorted_h, bh)
-    idx[idx >= len(sorted_h)] = max(len(sorted_h) - 1, 0)
-    found = ((sorted_h[idx] == bh) if len(sorted_h)
-             else np.zeros(len(bh), bool))
-    return idx, found
+    if not len(sorted_h):
+        return np.zeros(len(bh), bool)
+    idx = np.minimum(np.searchsorted(sorted_h, bh), len(sorted_h) - 1)
+    return sorted_h[idx] == bh
 
 
 # ── checkpoint deltas ────────────────────────────────────────────────────────
@@ -187,54 +188,45 @@ def _fetch_hashes(*parts):
     return hashlib.sha256(h.tobytes()).hexdigest()[:16], h
 
 
-def _build_meta(*blocks):
-    """(url hash, content hash) lookup arrays, hash-sorted, from the
-    fetched dataset's blocks.  Returns ``(meta, n_fetched, urls)`` — the
-    driver materializes only ``n_fetched`` (``urls`` only for the
-    ``track_fetched_urls`` test aid).  Bounded like the fetch set: by the
-    politeness token budgets, never by the frontier."""
-    tbls = [b.select(["url", "content_hash"]) for b in blocks if b.num_rows]
-    if not tbls:
-        return (np.empty(0, np.uint64), np.empty(0, object)), 0, []
-    t = pa.concat_tables(tbls)
-    urls = t.column("url").to_pylist()
-    hashes = np.asarray(t.column("content_hash").to_pylist(), object)
-    h = batch_url_hash64(urls)
-    order = np.argsort(h)
-    return (h[order], hashes[order]), len(urls), urls
-
-
-def _replay(meta, states: dict, cfg: CrawlSettings, delays, shards,
-            marks_delta_path: str, hashes_delta_path: str, *cand_tables):
-    """The generation's replay: restores the canonical (sid, depth, url)
-    order across the frontier shards' candidate tables, attaches fetch
-    outcomes from the meta lookup, queries prior-generation content
-    hashes, runs ``replay_generation`` and writes the checkpoint delta
-    files.  Returns ``(counters, states, accepted, propagate, mark_keys,
-    new_hashes)``; the driver materializes the first two (counters +
-    O(seeds) states).
+def _replay(states: dict, cfg: CrawlSettings, delays, shards,
+            marks_delta_path: str, hashes_delta_path: str, out_dir: str,
+            with_intel: bool, n_parts: int, *tables):
+    """The generation's one step after the fetch.  *tables* are the
+    frontier shards' *n_parts* candidate tables, then the fetched
+    dataset's blocks.  Restores the canonical (sid, depth, url) order
+    across the candidate tables, attaches fetch outcomes by exact url,
+    queries prior-generation content hashes, runs ``replay_generation``,
+    writes the checkpoint delta files and the results partition
+    *out_dir*, and stages the propagated pages' links.  Returns
+    ``(counters, states, accepted, mark_keys, new_hashes,
+    fetched_urls)``; the driver materializes the first two (counters,
+    ``fetched`` among them, + O(seeds) states).
 
     The seen-set is NOT mutated here — a killed replay task whose inserts
     had landed would see them as prior-generation state in its Ray retry
     and wrongly deduplicate its own pages.  :func:`_commit` inserts the
     new keys once this step has returned."""
-    sub = pa.concat_tables(cand_tables).sort_by(
+    sub = pa.concat_tables(tables[:n_parts]).sort_by(
         [("sid", "ascending"), ("depth", "ascending"), ("url", "ascending")])
-    urls = sub.column("url").to_pylist()
-    h_meta, hash_meta = meta
-    idx, fetched = hash_lookup(h_meta, urls)
-
+    # an empty block may carry no columns at all
+    blocks = [b for b in tables[n_parts:] if b.num_rows]
+    fetched_urls = pa.chunked_array(
+        [b.column("url") for b in blocks], pa.string())
+    idx = pc.index_in(sub.column("url"), value_set=fetched_urls)
+    fetched_hashes = pa.chunked_array(
+        [b.column("content_hash") for b in blocks], pa.string())
     black = sub.column("black").to_pylist()
     robots = sub.column("robots").to_pylist()
     cands = [
         Candidate(
             seed_id=s, url=u, depth=d, blacklisted=b or r,
-            fetched=bool(f) and not (b or r),
-            content_hash=str(hash_meta[i]) if (f and not (b or r)) else None,
+            fetched=h is not None and not (b or r),
+            content_hash=h if not (b or r) else None,
         )
-        for s, d, u, b, r, f, i in zip(
+        for s, d, u, b, r, h in zip(
             sub.column("sid").to_pylist(), sub.column("depth").to_pylist(),
-            urls, black, robots, fetched, idx)
+            sub.column("url").to_pylist(), black, robots,
+            fetched_hashes.take(idx).to_pylist())
     ]
     cand_hashes = sorted({c.content_hash for c in cands if c.content_hash})
     known = pool_contains(shards, cand_hashes, "contains_hash")
@@ -244,8 +236,8 @@ def _replay(meta, states: dict, cfg: CrawlSettings, delays, shards,
 
     mark_keys = [f"{s}|{u}" for s, u in res.new_marks]
     if cfg.chaos_kill_marker:
-        # fault injection: die after computing the results, before the
-        # delta writes — the retry re-runs from unchanged input refs and
+        # fault injection: die after computing the results, before any
+        # file write — the retry re-runs from unchanged input refs and
         # the deterministic rewrite must heal the generation
         _chaos_kill_once(cfg.chaos_kill_marker + ".replay")
     _write_delta(marks_delta_path, mark_keys)
@@ -256,6 +248,7 @@ def _replay(meta, states: dict, cfg: CrawlSettings, delays, shards,
     counters["robots_blocked"] = sum(
         1 for c, r, st in zip(cands, robots, res.status)
         if r and st == BLACKLISTED)
+    counters["fetched"] = len(fetched_urls)
 
     cand_of = {(c.seed_id, c.url): c for c in cands}
     acc = [cand_of[k] for k in sorted(res.accepted)]
@@ -266,13 +259,10 @@ def _replay(meta, states: dict, cfg: CrawlSettings, delays, shards,
         "content_hash": pa.array([c.content_hash for c in acc], pa.string()),
     })
     prop = [cand_of[k] for k in sorted(res.propagate)]
-    propagate = pa.table({
-        "sid": pa.array([c.seed_id for c in prop], pa.int32()),
-        "url": pa.array([c.url for c in prop], pa.string()),
-        "depth": pa.array([c.depth for c in prop], pa.int32()),
-    })
-    return (counters, states, accepted, propagate, mark_keys,
-            list(res.new_hashes))
+    _write_results(accepted, out_dir, with_intel, blocks)
+    _expand(cfg.max_depth, prop, shards, blocks)
+    return (counters, states, accepted, mark_keys, list(res.new_hashes),
+            fetched_urls)
 
 
 def _chaos_kill_once(marker_path: str) -> None:
@@ -320,20 +310,19 @@ def _commit(cfg: CrawlSettings, shards, mark_keys, new_hashes) -> int:
 
 
 def _write_results(accepted: pa.Table, out_dir: str, with_intel: bool,
-                   *blocks) -> int:
+                   blocks: List[pa.Table]) -> None:
     """Write the results partition *out_dir* as one parquet file: the
-    fetched rows whose url the replay accepted (exact Arrow matching),
-    without ``links``, with ``depth`` and ``seed_id`` after the extract
-    columns and, when *with_intel*, the intelligence columns after those,
-    sorted by ``(seed_id, url)``.  A retry rewrites the same file; no
-    accepted row, no file.  Returns the number of rows."""
+    rows of the fetched *blocks* whose url the replay accepted (exact
+    Arrow matching), without ``links``, with ``depth`` and ``seed_id``
+    after the extract columns and, when *with_intel*, the intelligence
+    columns after those, sorted by ``(seed_id, url)``.  A retry rewrites
+    the same file; no accepted row, no file."""
     shutil.rmtree(out_dir, ignore_errors=True)  # idempotent overwrite
     urls = accepted.column("url")
     kept = [b.drop_columns(["links"]).filter(
-                pc.is_in(b.column("url"), value_set=urls))
-            for b in blocks if b.num_rows]  # an empty block has no columns
+                pc.is_in(b.column("url"), value_set=urls)) for b in blocks]
     if not sum(t.num_rows for t in kept):
-        return 0
+        return
     rows = pa.concat_tables(kept)
     idx = pc.index_in(rows.column("url"), value_set=urls)
     rows = rows.append_column("depth", accepted.column("depth").take(idx))
@@ -343,26 +332,22 @@ def _write_results(accepted: pa.Table, out_dir: str, with_intel: bool,
         rows = intelligence_batch(rows)
     Path(out_dir).mkdir(parents=True)
     pq.write_table(rows, str(Path(out_dir) / "part-0.parquet"))
-    return rows.num_rows
 
 
-def _expand(max_depth: int, propagate: pa.Table, shards, *blocks) -> int:
+def _expand(max_depth: int, propagate: List[Candidate], shards,
+            blocks: List[pa.Table]) -> None:
     """Stage the links of this generation's propagated pages (depth <
     ``max_depth``) onto their frontier shards (``seed_id % n``), read
-    straight from the fetched blocks — link bytes flow block → shard,
+    straight from the fetched *blocks* — link bytes flow block → shard,
     never through the driver.  The caller's ``commit_staged()`` applies
-    them in canonical order.  Returns the number of entries staged."""
-    keep = propagate.filter(pc.less(propagate.column("depth"), max_depth))
+    them in canonical order."""
     parents: Dict[str, List[Tuple[int, int]]] = {}
-    for sid, d, u in zip(keep.column("sid").to_pylist(),
-                         keep.column("depth").to_pylist(),
-                         keep.column("url").to_pylist()):
-        parents.setdefault(u, []).append((sid, d + 1))
+    for c in propagate:
+        if c.depth < max_depth:
+            parents.setdefault(c.url, []).append((c.seed_id, c.depth + 1))
     n = len(shards)
     routed: Dict[int, list] = {}
     for b in blocks:
-        if not b.num_rows:
-            continue  # an empty block may carry no columns at all
         urls = b.column("url").to_pylist()
         hit = pa.array([i for i, u in enumerate(urls) if u in parents],
                        pa.int64())
@@ -372,7 +357,6 @@ def _expand(max_depth: int, propagate: pa.Table, shards, *blocks) -> int:
                 routed.setdefault(sid % n, []).extend(
                     (sid, d, link) for link in links)
     call_shards(shards, "stage", routed)
-    return sum(len(es) for es in routed.values())
 
 
 def _restore_delta(shards, marks_path: str, hashes_path: str) -> int:

@@ -229,17 +229,13 @@ class ShardedFrontierQueue:
 
         return ray.get([getattr(s, method).remote(*args) for s in self._shards])
 
-    def _routed(self, method: str, items: Iterable) -> Tuple[int, int]:
-        """``method`` on every shard with its share of the entries
-        *items*, routed by ``seed_id % n_shards``; returns the shards'
-        ``(size, dropped)`` summed."""
-        routed: Dict[int, list] = {s: [] for s in range(self._n)}
-        for it in items:
-            routed[it[0] % self._n].append(it)
-        return _sum_pairs(call_shards(self._shards, method, routed).values())
-
     def push(self, entries: Iterable[Entry]) -> Tuple[int, int]:
-        return self._routed("push", entries)
+        """Push each entry onto its shard (``seed_id % n_shards``);
+        returns the shards' ``(size, dropped)`` summed."""
+        routed: Dict[int, list] = {s: [] for s in range(self._n)}
+        for e in entries:
+            routed[e[0] % self._n].append(e)
+        return _sum_pairs(call_shards(self._shards, "push", routed).values())
 
     def commit_staged(self) -> Tuple[int, int]:
         """``(size, dropped)`` summed over the shards."""
@@ -301,10 +297,3 @@ class ShardedFrontierQueue:
 
     def __len__(self) -> int:
         return sum(self._each("size"))
-
-    def snapshot_list(self) -> List[Entry]:
-        parts = self._each("snapshot_list")
-        return sorted(tuple(e) for part in parts for e in part)
-
-    def restore_list(self, entries: Iterable[Entry]) -> Tuple[int, int]:
-        return self._routed("restore_list", entries)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.parse import urlparse
 
 Rule = Tuple[str, bool]  # (path pattern, is_allow)
@@ -130,12 +130,6 @@ class RobotsTable:
         if parsed.query:
             target = f"{target}?{parsed.query}"
         return hr.allowed(target)
-
-    def blocked_mask(self, urls: Sequence[str]) -> List[bool]:
-        """Vectorized-over-batch robots check (True = blocked)."""
-        if not self.hosts:
-            return [False] * len(urls)
-        return [not self.is_allowed(u) for u in urls]
 
     def crawl_delay_for(self, host: str, default: float) -> float:
         hr = self.hosts.get(host.lower())

@@ -723,8 +723,7 @@ def test_mismatched_shard_counts_conformance(smoke_corpus, tmp_path,
                                 CrawlSettings(**base, frontier_shards=3))
     assert act.stats["pages_crawled"] > 0
     _compare(act, trace)
-    assert steps == {"_fetch_hashes", "_build_meta", "_replay", "_commit",
-                     "_write_results", "_expand"}
+    assert steps == {"_fetch_hashes", "_replay", "_commit"}
 
     inp = run_crawl(smoke_corpus, seeds,
                     CrawlSettings(**base, frontier_shards=0),
@@ -837,22 +836,22 @@ def test_crawl_after_raised_crawl_matches_oracle(smoke_corpus, tmp_path,
     from deepwebharvester_ray.pipelines import crawl as crawl_mod
     from deepwebharvester_ray.pipelines import crawl_plane
 
-    marker = str(tmp_path / "gen0_expanded")
+    marker = str(tmp_path / "gen0_committed")
 
-    def expand(*args):  # runs in a Ray worker: the marker counts calls
-        n = crawl_plane._expand(*args)
+    def commit(*args):  # runs in a Ray worker: the marker counts calls
+        n = crawl_plane._commit(*args)
         try:
             os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
         except FileExistsError:
-            raise RuntimeError("expand failed in generation 1")
+            raise RuntimeError("commit failed in generation 1")
         return n
 
     seeds = corpus.seed_urls(6)
     cfg = CrawlSettings(max_depth=2, frontier_shards=2)
-    monkeypatch.setattr(crawl_mod, "_expand", expand)
+    monkeypatch.setattr(crawl_mod, "_commit", commit)
     with pytest.raises(RuntimeError, match="generation 1"):
         run_crawl(smoke_corpus, seeds, cfg, run_dir=str(tmp_path / "bad"))
-    monkeypatch.setattr(crawl_mod, "_expand", crawl_plane._expand)
+    monkeypatch.setattr(crawl_mod, "_commit", crawl_plane._commit)
 
     run = run_crawl(smoke_corpus, seeds, cfg, run_dir=str(tmp_path / "ok"))
     _compare(run, oracle.crawl_oracle(

@@ -57,10 +57,6 @@ def test_sharded_queue(ray_session):
     popped = q.pop_budget(1)
     assert len(popped) == 4 and popped == sorted(popped)
     assert len(q) == 8
-    snap = q.snapshot_list()
-    q2 = ShardedFrontierQueue(n_shards=3)
-    q2.restore_list(snap)
-    assert q2.snapshot_list() == snap
     assert q.commit_staged()[1] == 0
 
 
@@ -85,6 +81,51 @@ def test_push_and_restore_return_size_and_dropped(ray_session, tmp_path):
         path = str(tmp_path / f"{type(q).__name__}.parquet")
         q.snapshot_parquet(path)
         assert q.restore_parquet(path) == (8, 5)
+
+
+def _snapshot_entries(q, path: str) -> list:
+    """The queue's entries, sorted, read back from its parquet snapshot
+    (one file, or one per shard on the sharded queue)."""
+    import glob
+
+    from deepwebharvester_ray.state.pqueue import _parquet_to_entries
+
+    q.snapshot_parquet(path)
+    return sorted(e for f in glob.glob(f"{path}*")
+                  for e in _parquet_to_entries(f))
+
+
+def test_staging_twice_commits_as_staging_once(ray_session, tmp_path):
+    """The same entries staged twice (a retried staging task) commit to
+    the same (size, dropped) and the same frontier as one staging, on
+    bounded queues where staged entries overflow and drop."""
+    import ray
+
+    queued = [(sid, 1, f"http://h/{sid}-{i}") for sid in range(4)
+              for i in range(2)]
+    staged = [(sid, d, f"http://h/{sid}-s{i}") for sid in range(4)
+              for d, i in ((2, 0), (1, 1), (2, 2))]
+    kept = sorted(queued + [e for e in staged if e[1] == 1])
+
+    def stage(q):
+        if isinstance(q, FrontierQueue):
+            q.stage(staged)
+        else:  # seed s lives on shard s % 3
+            ray.get([h.stage.remote([e for e in staged if e[0] % 3 == s])
+                     for s, h in enumerate(q.shard_handles)])
+
+    for make in (lambda: FrontierQueue(max_per_seed=3),
+                 lambda: ShardedFrontierQueue(n_shards=3, max_per_seed=3)):
+        got = []
+        for times in (1, 2):
+            q = make()
+            assert q.push(queued) == (8, 0)
+            for _ in range(times):
+                stage(q)
+            path = str(tmp_path / f"{type(q).__name__}{times}.parquet")
+            got.append((q.commit_staged(), _snapshot_entries(q, path)))
+        assert got[0] == ((12, 8), kept)
+        assert got[1] == got[0]
 
 
 def test_crawl_budget_mode_defers_not_abandons(ray_session, smoke_corpus, tmp_path):

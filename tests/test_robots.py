@@ -57,9 +57,9 @@ def test_table_host_scoping_and_delay():
     assert t.is_allowed("http://other.onion/d/5")      # unknown host → allowed
     assert t.crawl_delay_for("a.example.onion", 7.0) == 1.0
     assert t.crawl_delay_for("other.onion", 7.0) == 7.0
-    assert t.blocked_mask(["http://a.example.onion/d/1", "http://b.onion/x"]) == [
-        True, False,
-    ]
+    assert t.blocked_set(["http://a.example.onion/d/1", "http://b.onion/x"]) == {
+        "http://a.example.onion/d/1",
+    }
 
 
 def test_crawl_with_robots_conformance(ray_session, smoke_corpus, tmp_path):
