@@ -81,6 +81,11 @@ class _PageParser(HTMLParser):
             if seg:
                 self.segments.append(seg)
 
+    def updatepos(self, i: int, j: int) -> int:
+        # the stock line/offset bookkeeping only feeds getpos(), which
+        # nothing here calls; the parser uses only the returned index
+        return j
+
     # -- parser callbacks ---------------------------------------------------
     def handle_starttag(self, tag: str, attrs) -> None:
         self._flush()

@@ -4,16 +4,18 @@ Every generation runs one body, :func:`_generation`, over the steps in
 pipelines/crawl_plane.py:
 
     pop + prep (mark filter + blacklist/robots, one call per shard)
-      → fetch+extract: read_parquet(corpus buckets of the fetch hosts)
-                         → map_batches(fetch_extract_task)   ← url∈fetch-set filter + HTML extract
+      → fetch+extract: one Ray task per corpus file of the fetch hosts'
+                       buckets: pq.read_table → fetch_extract_task
+                       ← url∈fetch-set filter + HTML extract
       → replay (state.scheduler, reference control flow)
           + results write (accepted rows + intelligence → run_dir/results/gen=K, one file)
           + link expansion (staged onto the frontier)
       → commit (seen-set inserts) → commit_staged (staged links, canonical order)
       → checkpoint (seen-set deltas, frontier snapshot, lineage manifest)
 
-The fetch+extract map is the generation's one Ray Data execution; the
-replay is the one step that reads its blocks (``to_arrow_refs``).
+A generation runs no Ray Data execution: each fetch task returns one
+Arrow table, whose ref goes straight to the replay, the one step that
+reads the fetched rows.  The html stays in the worker that read it.
 
 Where the control state lives — in this process, or on Ray actors with
 every step a Ray task — is chosen once per run from the frontier shard
@@ -23,8 +25,9 @@ produce identical results, counters and lineage digests.
 
 "Fetch" is a partition-pruned lookup join of the scheduled fetch set
 against the page corpus (SURVEY §2.4 J3): the set's sorted url-hash array
-is broadcast once per generation via ``ray.put`` and deserialized once
-per worker — never re-shipped per batch.  A URL absent from the corpus is
+(and, up to ``SCANNER_CAP``, its URL list) is broadcast once per
+generation via ``ray.put`` and deserialized once per worker — never
+re-shipped per task.  A URL absent from the corpus is
 a fetch failure and is charged the reference's full retry/backoff cost
 in virtual time (crawler.py:123-153).
 
@@ -35,7 +38,6 @@ continues without re-fetching any URL.
 """
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import logging
@@ -48,7 +50,6 @@ from typing import Dict, List, Optional, Sequence, Set
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .. import runtime_env
 from ..config import CrawlSettings
 from ..corpus import host_bucket_of
 from ..extract import extract_batch
@@ -64,6 +65,7 @@ from .crawl_plane import (
     _commit,
     _fetch_hashes,
     _replay,
+    _remote,
     _restore_delta,
     hash_lookup,
 )
@@ -223,40 +225,51 @@ def _bucket_paths(corpus_dir: str, buckets) -> List[str]:
     return paths
 
 
+def _fetch_file(path: str, batch_size: int, refs) -> pa.Table:
+    """Fetch + extract one corpus file: read its ``url, html`` columns —
+    through an ``isin`` scanner filter when the generation's URL list
+    was broadcast — then :func:`fetch_extract_task` per *batch_size*
+    rows.  *refs* nests the broadcast ``(URL list ref or None, fetch-hash
+    ref)`` so that Ray does not resolve them: each worker deserializes
+    them once (``broadcast.cached_get``).  A file that holds none of the
+    fetch set gives an empty table with ``extract_batch``'s schema."""
+    import pyarrow.compute as pc
+
+    from ..broadcast import cached_get
+
+    urls_ref, hashes_ref = refs
+    t = pq.read_table(path, columns=["url", "html"], filters=(
+        None if urls_ref is None
+        else pc.field("url").isin(cached_get(urls_ref))))
+    return pa.concat_tables([
+        fetch_extract_task(t.slice(i, batch_size), hashes_ref)
+        for i in range(0, max(t.num_rows, 1), batch_size)])
+
+
 def _fetch_extract(corpus_dir: str, cfg: CrawlSettings, pl, infos: list,
                    hash_parts: list):
     """Fetch + extract the generation's fetch set from the shards'
-    ``pop_prep`` infos and fetch-hash arrays.
-
-    One read of the fetch hosts' corpus buckets (partition pruning),
-    filtered in ``fetch_extract_task`` by the generation's sorted url-hash
-    array, broadcast once.  Up to :data:`SCANNER_CAP` fetch URLs the URL
-    list is also pushed into the Arrow scanner, so non-fetch rows are
-    dropped before their html bytes reach the object store.  Returns
-    ``(materialized dataset or None, fetch digest)``."""
-    import pyarrow.compute as pc
+    ``pop_prep`` infos and fetch-hash arrays: one :func:`_fetch_file`
+    task per corpus file of the fetch hosts' buckets (partition
+    pruning), each filtering by the generation's sorted url-hash array.
+    Up to :data:`SCANNER_CAP` fetch URLs the URL list is broadcast too,
+    and the scanner drops non-fetch rows before their html is read out.
+    Returns ``(refs of the fetched tables, fetch digest)``."""
     import ray
 
     digest, hashes = pl.run(_fetch_hashes, *hash_parts, num_returns=2)
     paths = _bucket_paths(corpus_dir, sorted(
         {host_bucket_of(h) for i in infos for h in i["hosts"]}))
     if not paths:
-        return None, digest
-    read_kwargs = {}
+        return [], digest
     smalls = [i["fetch_urls_small"] for i in infos]
     urls = (None if None in smalls
             else sorted({u for lst in smalls for u in lst}))
-    if urls is not None and len(urls) <= SCANNER_CAP:
-        read_kwargs["filter"] = pc.field("url").isin(urls)
-    return ray.data.read_parquet(
-        paths, columns=["url", "html"], **read_kwargs
-    ).map_batches(
-        fetch_extract_task,
-        fn_kwargs={"hashes_ref": pl.ref(hashes)},
-        batch_format="pyarrow",
-        batch_size=cfg.extract_batch_size,
-        runtime_env=runtime_env(),
-    ).materialize(), digest
+    refs = (ray.put(urls) if urls is not None and len(urls) <= SCANNER_CAP
+            else None, pl.ref(hashes))
+    task = _remote(_fetch_file)
+    return ([task.remote(p, cfg.extract_batch_size, refs) for p in paths],
+            digest)
 
 
 def _checkpoint_generation(
@@ -333,7 +346,7 @@ def _generation(
     gm.already = sum(i["already"] for i in infos)
     gm.candidates = sum(i["n_candidates"] for i in infos)
 
-    fetched_ds, digest = _fetch_extract(
+    fetched, digest = _fetch_extract(
         corpus_dir, cfg, pl, infos, [p[1] for p in preps])
     cand_tables = [p[2] for p in preps]
     counters, new_states, accepted, mark_keys, new_hashes, urls = pl.run(
@@ -341,9 +354,7 @@ def _generation(
         str(state_root / f"marks_delta_gen{gen}.parquet"),
         str(state_root / f"hashes_delta_gen{gen}.parquet"),
         str(results_root / f"gen={gen}"), with_intel, len(cand_tables),
-        *cand_tables,
-        *(fetched_ds.to_arrow_refs() if fetched_ds is not None else []),
-        num_returns=6)
+        *cand_tables, *fetched, num_returns=6)
     committed = pl.run(_commit, cfg, pl.shards, mark_keys, new_hashes)
     counters, new_states, _, digest = pl.get(
         [counters, new_states, committed, digest])
@@ -552,9 +563,6 @@ def run_crawl(
             gm, gen, fetch_digest, size, dropped)
         gen += 1
     pl.release()
-    # each Ray Data execution leaves a StreamingExecutor reference cycle
-    # that pins its blocks in the object store until a collection runs
-    gc.collect()
 
     stats = {
         "sites_crawled": len(states),

@@ -13,7 +13,7 @@ and a digest-routed slice of the content-hash set.  Every generation of
 * :func:`_fetch_hashes` — the generation's fetch-membership array and
   its lineage digest.
 * :func:`_replay` — the generation's one step after the fetch, over the
-  candidate tables and the fetched dataset's blocks: the reference
+  candidate tables and the fetch tasks' tables: the reference
   control flow (the UNCHANGED ``state.scheduler.replay_generation``
   core, one call per generation) in canonical order, the checkpoint
   delta files, the results partition (:func:`_write_results`) and the
@@ -192,12 +192,13 @@ def _replay(states: dict, cfg: CrawlSettings, delays, shards,
             marks_delta_path: str, hashes_delta_path: str, out_dir: str,
             with_intel: bool, n_parts: int, *tables):
     """The generation's one step after the fetch.  *tables* are the
-    frontier shards' *n_parts* candidate tables, then the fetched
-    dataset's blocks.  Restores the canonical (sid, depth, url) order
-    across the candidate tables, attaches fetch outcomes by exact url,
-    queries prior-generation content hashes, runs ``replay_generation``,
-    writes the checkpoint delta files and the results partition
-    *out_dir*, and stages the propagated pages' links.  Returns
+    frontier shards' *n_parts* candidate tables, then the fetched blocks
+    (one per pruned corpus file).  Restores the canonical (sid, depth,
+    url) order across the candidate tables, attaches fetch outcomes by
+    exact url, queries prior-generation content hashes, runs
+    ``replay_generation``, writes the checkpoint delta files and the
+    results partition *out_dir*, and stages the propagated pages' links.
+    Returns
     ``(counters, states, accepted, mark_keys, new_hashes,
     fetched_urls)``; the driver materializes the first two (counters,
     ``fetched`` among them, + O(seeds) states).
@@ -208,7 +209,7 @@ def _replay(states: dict, cfg: CrawlSettings, delays, shards,
     new keys once this step has returned."""
     sub = pa.concat_tables(tables[:n_parts]).sort_by(
         [("sid", "ascending"), ("depth", "ascending"), ("url", "ascending")])
-    # an empty block may carry no columns at all
+    # a corpus file without fetch rows gives an empty block
     blocks = [b for b in tables[n_parts:] if b.num_rows]
     fetched_urls = pa.chunked_array(
         [b.column("url") for b in blocks], pa.string())
@@ -393,7 +394,7 @@ class InProcess:
         return x
 
     def ref(self, x):
-        """An ObjectRef to *x* for a Dataset UDF's broadcast argument."""
+        """An ObjectRef to *x* for the fetch tasks' broadcast argument."""
         import ray
 
         return ray.put(x)
@@ -402,11 +403,24 @@ class InProcess:
         """Nothing outlives the run in process."""
 
 
-# The actor placement's warm state, kept for the life of the process:
-# the idle shard-actor sets by (Ray session, shard count), and the
-# steps' Ray task wrappers by (step, num_returns).
+# Warm state kept for the life of the process: the actor placement's
+# idle shard-actor sets by (Ray session, shard count), and the Ray task
+# wrappers by (function, options).
 _SHARD_SETS: Dict[tuple, ShardedFrontierQueue] = {}
 _TASKS: dict = {}
+
+
+def _remote(fn, **options):
+    """*fn*'s Ray task wrapper with *options* and the library's runtime
+    env, made once per process."""
+    import ray
+
+    from .. import runtime_env
+
+    key = (fn, *sorted(options.items()))
+    if key not in _TASKS:
+        _TASKS[key] = ray.remote(runtime_env=runtime_env(), **options)(fn)
+    return _TASKS[key]
 
 
 def _session() -> tuple:
@@ -456,16 +470,7 @@ class OnActors:
                                              num_returns=3)
 
     def run(self, fn, *args, num_returns: int = 1):
-        import ray
-
-        from .. import runtime_env
-
-        key = (fn, num_returns)
-        if key not in _TASKS:
-            _TASKS[key] = ray.remote(
-                num_cpus=0, num_returns=num_returns,
-                runtime_env=runtime_env())(fn)
-        return _TASKS[key].remote(*args)
+        return _remote(fn, num_cpus=0, num_returns=num_returns).remote(*args)
 
     def get(self, x):
         import ray

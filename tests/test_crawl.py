@@ -892,29 +892,50 @@ def test_crawl_leaves_no_ray_data_executor(smoke_corpus, tmp_path):
     assert not executors() - before
 
 
-def test_one_ray_data_execution_per_generation(smoke_corpus, tmp_path,
-                                               monkeypatch):
-    """A generation runs one Ray Data execution — the fetch+extract map;
-    the results write is a step over its blocks — and writes one results
-    file per gen=K, rows in (seed_id, url) order.  Both placements write
-    equal rows in the same order with the same schema, with and without
-    intelligence; the intelligence columns follow depth and seed_id, and
-    intelligence runs on the accepted rows only (counted in process)."""
+def test_no_ray_data_execution_one_fetch_task_per_file(
+        smoke_corpus, tmp_path, monkeypatch):
+    """A crawl runs no Ray Data execution: each generation submits one
+    fetch task per pruned corpus file, and the replay step writes one
+    results file per gen=K, rows in (seed_id, url) order.  Both
+    placements write equal rows in the same order with the same schema,
+    with and without intelligence; the intelligence columns follow depth
+    and seed_id, and intelligence runs on the accepted rows only
+    (counted in process)."""
     from pathlib import Path
 
     import pyarrow.parquet as pq
     import ray.data
 
+    from deepwebharvester_ray.pipelines import crawl as crawl_mod
     from deepwebharvester_ray.pipelines import crawl_plane
 
     calls = []
-    for name in ("materialize", "write_parquet"):
+    for name in ("materialize", "write_parquet", "to_arrow_refs"):
         def counted(self, *args, _real=getattr(ray.data.Dataset, name),
                     _name=name, **kwargs):
             calls.append(_name)
             return _real(self, *args, **kwargs)
 
         monkeypatch.setattr(ray.data.Dataset, name, counted)
+    per_gen = []  # [pruned corpus files, fetch tasks submitted]
+
+    def bucket_paths(*args, _real=crawl_mod._bucket_paths):
+        paths = _real(*args)
+        per_gen.append([len(paths), 0])
+        return paths
+
+    class Counted:
+        def __init__(self, task):
+            self.task = task
+
+        def remote(self, *args):
+            per_gen[-1][1] += 1
+            return self.task.remote(*args)
+
+    monkeypatch.setattr(crawl_mod, "_bucket_paths", bucket_paths)
+    monkeypatch.setattr(crawl_mod, "_remote",
+                        lambda fn, _real=crawl_mod._remote, **opts:
+                            Counted(_real(fn, **opts)))
     intel_rows = []
     monkeypatch.setattr(
         crawl_plane, "intelligence_batch",
@@ -925,6 +946,7 @@ def test_one_ray_data_execution_per_generation(smoke_corpus, tmp_path,
     for with_intel in (False, True):
         for shards in (0, 2):
             calls.clear()
+            per_gen.clear()
             intel_rows.clear()
             run = run_crawl(
                 smoke_corpus, seeds,
@@ -932,7 +954,10 @@ def test_one_ray_data_execution_per_generation(smoke_corpus, tmp_path,
                 run_dir=str(tmp_path / f"run{shards}_{with_intel}"),
                 with_intel=with_intel)
             assert len(run.metrics) == 3
-            assert calls == ["materialize"] * len(run.metrics)
+            assert calls == []
+            assert len(per_gen) == len(run.metrics)
+            assert all(files > 1 and tasks == files
+                       for files, tasks in per_gen), per_gen
             for m in run.metrics:
                 assert m.success > 0
                 (f,) = Path(run.results_path,
@@ -954,3 +979,84 @@ def test_one_ray_data_execution_per_generation(smoke_corpus, tmp_path,
     assert intel.column_names[:len(plain.column_names)] == plain.column_names
     assert "risk_label" in intel.column_names
     assert intel.select(plain.column_names).equals(plain)
+
+
+def test_fetch_task_on_file_without_fetch_urls(smoke_corpus, tmp_path):
+    """The fetch task on a corpus file that holds none of the
+    generation's fetch URLs returns an empty table with
+    ``extract_batch``'s schema, and the replay skips it: adding it
+    changes no counter, state, accepted row, delta or results file."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from deepwebharvester_ray.corpus import host_bucket_of
+    from deepwebharvester_ray.extract import extract_batch
+    from deepwebharvester_ray.pipelines import crawl as crawl_mod
+    from deepwebharvester_ray.pipelines import crawl_plane
+    from deepwebharvester_ray.state.robots import RobotsTable
+    from deepwebharvester_ray.state.scheduler import SeedState
+    from deepwebharvester_ray.urlops import get_host
+
+    seeds = corpus.seed_urls(3)
+    cfg = CrawlSettings(max_depth=1)
+    own = {host_bucket_of(get_host(u)) for u in seeds}
+    (foreign, *_) = [p for b in range(corpus.N_BUCKETS) if b not in own
+                     for p in crawl_mod._bucket_paths(smoke_corpus, [b])]
+
+    def generation(with_foreign):
+        shard = crawl_plane.CrawlShard()
+        shard.push([(sid, 0, u) for sid, u in enumerate(seeds)])
+        info, fetch_h, cands = shard.pop_prep(None, [], RobotsTable(),
+                                              frozenset())
+        _, hashes = crawl_plane._fetch_hashes(fetch_h)
+        refs = (ray.put(info["fetch_urls_small"]), ray.put(hashes))
+        paths = crawl_mod._bucket_paths(smoke_corpus, sorted(own))
+        blocks = [crawl_mod._fetch_file(p, cfg.extract_batch_size, refs)
+                  for p in paths + [foreign] * with_foreign]
+        out = tmp_path / f"foreign{with_foreign}"
+        out.mkdir()
+        res = crawl_plane._replay(
+            {sid: SeedState(seed_id=sid, seed_url=u)
+             for sid, u in enumerate(seeds)},
+            cfg, {sid: cfg.crawl_delay for sid in range(len(seeds))},
+            [shard], str(out / "marks.parquet"), str(out / "hashes.parquet"),
+            str(out / "results"), False, 1, cands, *blocks)
+        files = {}
+        for f in out.rglob("*.parquet"):  # crawl_time is a measured time
+            t = pq.read_table(f)
+            files[f.name] = t.select(
+                [c for c in t.column_names if c != "crawl_time"])
+        return blocks, res, files
+
+    blocks, res, files = generation(False)
+    blocks_f, res_f, files_f = generation(True)
+    empty = blocks_f[-1]
+    assert empty.num_rows == 0
+    assert empty.schema == extract_batch(pa.table({
+        "url": pa.array([], pa.string()),
+        "html": pa.array([], pa.binary())})).schema
+    assert all(b.schema == empty.schema for b in blocks)
+    counters, states, accepted, marks, new_hashes, urls = res
+    assert counters["fetched"] == len(seeds)
+    assert res_f[0] == counters and res_f[1] == states
+    assert res_f[2].equals(accepted) and res_f[3:5] == (marks, new_hashes)
+    assert res_f[5].equals(urls)
+    assert files.keys() == files_f.keys() == {
+        "marks.parquet", "hashes.parquet", "part-0.parquet"}
+    assert all(files[k].equals(files_f[k]) for k in files)
+
+
+@pytest.mark.parametrize("shards", [0, 2])
+def test_generation_of_missing_pages(smoke_corpus, tmp_path, shards):
+    """A generation whose whole fetch set is missing from the corpus —
+    the hosts' corpus files are read, but none holds a fetch URL —
+    fetches nothing and counts the oracle's failures."""
+    seeds = [f"http://{corpus.host_of(d)}/d/{10**9 + d}" for d in range(4)]
+    cfg = CrawlSettings(max_depth=2, frontier_shards=shards)
+    run = run_crawl(smoke_corpus, seeds, cfg, run_dir=str(tmp_path / "run"))
+    trace = oracle.crawl_oracle(oracle.load_corpus_map(smoke_corpus),
+                                seeds, cfg)
+    assert [(m.fetched, m.failed) for m in run.metrics] == [(0, len(seeds))]
+    assert trace.stats["failed"] == len(seeds)
+    _compare(run, trace)

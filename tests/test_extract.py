@@ -158,3 +158,44 @@ def test_extract_anchors_per_element():
         (f"http://{host}/open", "Dangling"),
         (f"http://{host}/y", "Y"),
     ]
+
+
+def test_parser_without_position_tracking_matches_stock(smoke_corpus,
+                                                        monkeypatch):
+    """``_PageParser.updatepos`` skips the stdlib's line/offset
+    bookkeeping.  Extraction equals the stock parser's on every smoke
+    corpus page, the generator's pages and the fixtures above, plus
+    declarations, comments and tags that span lines."""
+    from pathlib import Path
+
+    import _markupbase
+    import pyarrow.parquet as pq
+
+    from deepwebharvester_ray import extract
+
+    pages = [(r["url"], r["html"].decode("utf-8", errors="replace"))
+             for f in sorted(Path(smoke_corpus).rglob("*.parquet"))
+             for r in pq.read_table(f, columns=["url", "html"]).to_pylist()]
+    texts = [f"body text {i}\nline two {i}" for i in range(200)]
+    pages += [(corpus.doc_url(d),
+               corpus.page_html(d, 200, texts[corpus.effective_doc(d)]))
+              for d in range(200)]
+    pages += [(BASE, h) for h in [
+        SAMPLE, "", "<", "<<<>>>", "<a href=", "<html><body><p>x",
+        "\x00\x01",
+        "<html><head><title/></head><body><p>Hello world body</p></body>",
+        "<html><body><script/><p>visible</p></body></html>",
+        "<!DOCTYPE html>\n<!-- a\ncomment --><![CDATA[x\ny]]><?pi\n?>"
+        f'<p\nclass="c">one\ntwo</p><a\nhref="/l">l</a><br/>\n&amp;\n',
+    ]]
+    assert len(pages) > 400
+    fast = [extract.extract_content(h, u) for u, h in pages]
+
+    class Stock(extract._PageParser):
+        updatepos = _markupbase.ParserBase.updatepos
+
+    probe = Stock()
+    probe.feed("<p>\nx</p>")
+    assert probe.getpos() != (1, 0)  # the stock bookkeeping runs
+    monkeypatch.setattr(extract, "_PageParser", Stock)
+    assert [extract.extract_content(h, u) for u, h in pages] == fast
