@@ -21,15 +21,30 @@ library ``html.parser`` (bs4/lxml are not available in this environment):
   SURVEY §2.9); this engine defines the canonical order as **sorted**, a
   documented deterministic deviation.
 
-The batch entry point :func:`extract_batch` is the hot stage of the crawl
-pipeline: one call per Arrow batch inside ``map_batches``.  HTML parsing is
-inherently per-document (same as the reference's bs4+lxml per-page parse);
-throughput comes from Ray fanning batches across cores.
+:func:`extract_content` is the crawl's per-page hot path: every fetch task
+runs :func:`extract_batch` over the pages of its corpus file.  Two exact
+fast paths sit in front of the stdlib code, which stays both the fallback
+and the reference the differential tests compare against:
+
+* :func:`_scan` tokenizes a strict subset of HTML (plain tags and
+  attributes, end tags, comments, doctype, script/style raw text) with
+  C-speed regex matches and returns ``html.parser``'s event sequence, or
+  ``None`` for anything outside the subset — then the page is parsed by
+  ``HTMLParser.feed`` on a fresh parser.  Both feed the same
+  :class:`_PageParser` handlers, so the title/noise/segment rules have one
+  implementation.
+* :func:`_resolve_href` builds the canonical link of a plain
+  ``http(s)://host/path`` or ``/path`` href directly; every other href
+  goes through the ``urljoin`` → ``canonicalize_url`` chain
+  (:func:`_join_href`).
+
+:func:`_extract_stdlib` is the all-stdlib reference.
 """
 from __future__ import annotations
 
 import re
 import time
+from html import unescape
 from html.parser import HTMLParser
 from typing import Dict, List, Tuple
 from urllib.parse import urljoin
@@ -136,21 +151,205 @@ class _PageParser(HTMLParser):
         self._flush()
 
 
+# ── Strict-subset tokenizer ──────────────────────────────────────────────────
+#
+# Each construct below is one that the installed ``html.parser`` parses
+# exactly as written here; anything else makes _scan return None.  The
+# subset, against html/parser.py (tagfind_tolerant, attrfind_tolerant,
+# locatestarttagend_tolerant, endtagfind) and _markupbase.parse_comment:
+#
+# * tag names are [a-zA-Z][a-zA-Z0-9]* followed by [\t\n\r\f ], '/>' or
+#   '>': the stdlib's name runs to the next [\t\n\r\f />\x00], and its
+#   separators are the wider \s, so \x0b or U+00A0 after a name would
+#   change the name;
+# * attributes are preceded by [\t\n\r\f ]+ and named
+#   [a-zA-Z_:][-a-zA-Z0-9_:.]*; a value is '...', "..." or an unquoted
+#   run of characters that are neither \s nor any of "'=<>` ; one '=',
+#   with [\t\n\r\f ]* on either side.  All quantifiers are possessive, so
+#   the attribute match is the first-choice one in _TOKEN_RE and _ATTR_RE
+#   alike;
+# * end tags are exactly </name>;
+# * comments end at the first --\s*> after '<!--' (parse_comment), a
+#   doctype at the first '>' after '<!doctype' (parse_html_declaration);
+# * script/style raw text runs to the stdlib's own end-tag pattern
+#   (HTMLParser.set_cdata_mode).
+#
+# A text run is unescaped as one piece, as HTMLParser.goahead does with
+# convert_charrefs.  The final text run falls back when it holds an '&':
+# goahead holds such a run back as a possibly cut charref and close()
+# emits it, in this release as the same one piece, so the rule only
+# guards against a release that changes the hold-back.  '<?', '<![',
+# bogus comments, a '<' that starts no construct and every unterminated
+# construct fall back too.
+
+_WS = r"[\t\n\r\f ]"
+_ATTR = (r"([a-zA-Z_:][-a-zA-Z0-9_:.]*+)"
+         rf"(?:{_WS}*+(=){_WS}*+"
+         r"""(?:"([^"]*+)"|'([^']*+)'|([^\s"'=<>`]++)))?+""")
+_ATTR_RE = re.compile(_ATTR)
+_TOKEN_RE = re.compile(
+    r"(?P<text>[^<]++)"
+    rf"|<(?P<tag>[a-zA-Z][a-zA-Z0-9]*+)(?P<attrs>(?:{_WS}++{_ATTR})*+)"
+    rf"{_WS}*+(?P<slash>/?)>"
+    r"|</(?P<end>[a-zA-Z][a-zA-Z0-9]*+)>"
+    r"|<!--.*?--\s*+>"
+    r"|<![dD][oO][cC][tT][yY][pP][eE][^>]*+>",
+    re.S)
+_RAW_END = {tag: re.compile(r"</\s*%s\s*>" % tag, re.I)
+            for tag in HTMLParser.CDATA_CONTENT_ELEMENTS}
+
+# event kinds: the _PageParser handler each one is dispatched to
+_DATA, _START, _STARTEND, _END = range(4)
+
+
+def _scan(html: str) -> List[tuple] | None:
+    """``html.parser``'s event sequence for *html* — ``(_DATA, text)``,
+    ``(_START, tag, attrs)``, ``(_STARTEND, tag, attrs)``, ``(_END, tag)``
+    — or ``None`` when *html* leaves the strict subset above.  Comments
+    and the doctype produce no event (``_PageParser`` ignores them)."""
+    events: List[tuple] = []
+    append = events.append
+    match = _TOKEN_RE.match
+    pos, n = 0, len(html)
+    while pos < n:
+        m = match(html, pos)
+        if m is None:
+            return None
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "text":
+            text = m.group(1)
+            if "&" in text:
+                if pos == n:
+                    return None
+                text = unescape(text)
+            append((_DATA, text))
+        elif kind == "slash":
+            tag = m.group("tag").lower()
+            attrs = []
+            if m.group("attrs"):
+                for name, eq, dq, sq, uq in _ATTR_RE.findall(m.group("attrs")):
+                    value = (dq or sq or uq) if eq else None
+                    if value and "&" in value:
+                        value = unescape(value)
+                    attrs.append((name.lower(), value))
+            if m.group("slash"):
+                append((_STARTEND, tag, attrs))
+                continue
+            append((_START, tag, attrs))
+            raw_end = _RAW_END.get(tag)
+            if raw_end is not None:
+                e = raw_end.search(html, pos)
+                if e is None:
+                    return None
+                if e.start() > pos:
+                    append((_DATA, html[pos:e.start()]))
+                append((_END, tag))
+                pos = e.end()
+        elif kind == "end":
+            append((_END, m.group("end").lower()))
+    return events
+
+
+def _parse(html: str) -> _PageParser:
+    """A :class:`_PageParser` that has seen all of *html*: fed the
+    :func:`_scan` events, or — outside the subset — the whole document
+    through ``HTMLParser.feed`` on a fresh parser."""
+    events = _scan(html)
+    if events is None:
+        return _parse_stdlib(html)
+    parser = _PageParser()
+    data = parser.handle_data
+    start = parser.handle_starttag
+    startend = parser.handle_startendtag
+    end = parser.handle_endtag
+    for ev in events:
+        kind = ev[0]
+        if kind == _DATA:
+            data(ev[1])
+        elif kind == _START:
+            start(ev[1], ev[2])
+        elif kind == _END:
+            end(ev[1])
+        else:
+            startend(ev[1], ev[2])
+    parser._flush()
+    return parser
+
+
+def _parse_stdlib(html: str) -> _PageParser:
+    """A :class:`_PageParser` fed *html* by ``HTMLParser`` itself."""
+    parser = _PageParser()
+    try:
+        parser.feed(html)
+        parser.close()
+    except Exception:
+        # Malformed beyond recovery: keep whatever was collected (lxml is
+        # similarly lenient; it never raises on bad HTML).
+        pass
+    return parser
+
+
+# ── Href resolution ──────────────────────────────────────────────────────────
+
+_SKIP_PREFIXES = ("#", "javascript:", "mailto:")
+
+# The fast path: an http(s)://host/path href (scheme in any case) or a
+# /path href, over an http(s)://host base — ASCII hosts, no port,
+# userinfo or brackets, so urlsplit can neither raise nor rewrite them.
+# The path holds only RFC 3986 pchars minus '%' and ';' (so no query,
+# params, whitespace, control or non-ASCII characters: nothing urlsplit
+# strips or splits) and, checked below, no dot segment.  Its canonical
+# link is then scheme.lower()://host.lower() + (path.rstrip('/') or '/'),
+# with the href's own scheme and host when it has them: urljoin returns
+# an absolute href unchanged (another scheme) or re-joined from its own
+# parts (the base's), keeps a root path's segments as they are, and
+# canonicalize_url only lowercases and strips.
+_FAST_HREF_RE = re.compile(
+    r"(?:([hH][tT][tT][pP][sS]?)://([a-zA-Z0-9.-]++)|(?!//))"
+    r"(/[-A-Za-z0-9._~!$&'()*+,:=@/]*+)(?:#.*)?", re.S)
+_FAST_BASE_RE = re.compile(
+    r"([hH][tT][tT][pP][sS]?)://([a-zA-Z0-9.-]++)(?:[/?#]|\Z)")
+
+
+def _join_href(base_url: str, href: str) -> str | None:
+    """The reference chain (extractor.py:74-93): canonical link of *href*
+    on the page *base_url*, or ``None`` when it is skipped or not a valid
+    .onion URL."""
+    href = href.strip()
+    if not href or href.startswith(_SKIP_PREFIXES):
+        return None
+    full_url = urljoin(base_url, href).split("#")[0]
+    if is_valid_onion_url(full_url):
+        return canonicalize_url(full_url)
+    return None
+
+
+def _resolve_href(base_url: str, href: str) -> str | None:
+    """:func:`_join_href`, without urllib for plain hrefs."""
+    m = _FAST_HREF_RE.fullmatch(href)
+    if m is not None and "/." not in m.group(3):
+        b = _FAST_BASE_RE.match(base_url)
+        if b is not None:
+            scheme, host = m.group(1, 2) if m.group(1) else b.group(1, 2)
+            link = (f"{scheme.lower()}://{host.lower()}"
+                    f"{m.group(3).rstrip('/') or '/'}")
+            return link if is_valid_onion_url(link) else None
+    return _join_href(base_url, href)
+
+
+def _links(base_url: str, hrefs: List[str], resolve) -> List[str]:
+    return sorted({link for href in hrefs
+                   if (link := resolve(base_url, href)) is not None})
+
+
 def extract_links(base_url: str, hrefs: List[str]) -> List[str]:
     """Resolve + filter + canonicalize harvested hrefs (extractor.py:74-93).
 
     Returns canonically **sorted** unique links (deterministic deviation from
     the reference's set order).
     """
-    links = set()
-    for href in hrefs:
-        href = href.strip()
-        if not href or href.startswith(("#", "javascript:", "mailto:")):
-            continue
-        full_url = urljoin(base_url, href).split("#")[0]
-        if is_valid_onion_url(full_url):
-            links.add(canonicalize_url(full_url))
-    return sorted(links)
+    return _links(base_url, hrefs, _resolve_href)
 
 
 class _AnchorParser(HTMLParser):
@@ -208,15 +407,8 @@ def extract_anchors(base_url: str, html: str) -> List[Tuple[str, str]]:
         parser.close()
     except Exception:
         pass
-    out: List[Tuple[str, str]] = []
-    for href, text in parser.pairs:
-        href = href.strip()
-        if not href or href.startswith(("#", "javascript:", "mailto:")):
-            continue
-        full_url = urljoin(base_url, href).split("#")[0]
-        if is_valid_onion_url(full_url):
-            out.append((canonicalize_url(full_url), text))
-    return out
+    return [(link, text) for href, text in parser.pairs
+            if (link := _resolve_href(base_url, href)) is not None]
 
 
 def anchor_pairs_batch(batch: pa.Table) -> pa.Table:
@@ -242,21 +434,8 @@ def anchor_pairs_batch(batch: pa.Table) -> pa.Table:
     })
 
 
-def extract_content(html: str, url: str) -> Tuple[str, str, str, List[str]]:
-    """Parse *html* → ``(title, text, content_hash, links)``.
-
-    Mirrors reference ``PageExtractor.extract_content`` (extractor.py:95-133)
-    with sorted canonical link order.
-    """
-    parser = _PageParser()
-    try:
-        parser.feed(html)
-        parser.close()
-    except Exception:
-        # Malformed beyond recovery: keep whatever was collected (lxml is
-        # similarly lenient; it never raises on bad HTML).
-        pass
-
+def _page(parser: _PageParser, url: str,
+          resolve) -> Tuple[str, str, str, List[str]]:
     title = "No Title"
     if parser.title is not None:
         stripped = parser.title.strip()
@@ -266,8 +445,22 @@ def extract_content(html: str, url: str) -> Tuple[str, str, str, List[str]]:
     raw_text = "\n".join(parser.segments)
     text = _BLANKS_RE.sub("\n\n", raw_text)
     chash = content_hash_hex(text)
-    links = extract_links(url, parser.hrefs)
-    return title, text, chash, links
+    return title, text, chash, _links(url, parser.hrefs, resolve)
+
+
+def extract_content(html: str, url: str) -> Tuple[str, str, str, List[str]]:
+    """Parse *html* → ``(title, text, content_hash, links)``.
+
+    Mirrors reference ``PageExtractor.extract_content`` (extractor.py:95-133)
+    with sorted canonical link order.
+    """
+    return _page(_parse(html), url, _resolve_href)
+
+
+def _extract_stdlib(html: str, url: str) -> Tuple[str, str, str, List[str]]:
+    """:func:`extract_content` on ``html.parser`` and ``urljoin`` alone —
+    the reference its fast paths must reproduce byte for byte."""
+    return _page(_parse_stdlib(html), url, _join_href)
 
 
 # ── Ray Data batch stage ─────────────────────────────────────────────────────

@@ -116,6 +116,12 @@ CATEGORY_RISK: Dict[str, float] = {
     "Cryptocurrency Services": 0.70,
 }
 
+# The keyword lists lower-cased once: classify_threat counts them in the
+# lower-cased text of every page.
+_CATEGORY_KEYWORDS: Tuple[Tuple[str, Tuple[str, ...]], ...] = tuple(
+    (category, tuple(kw.lower() for kw in keywords))
+    for category, keywords in CATEGORIES.items())
+
 
 # ── Row functions (parity-testable) ──────────────────────────────────────────
 
@@ -151,8 +157,8 @@ def classify_threat(text: str) -> Dict[str, object]:
     category_scores: Dict[str, float] = {}
     keyword_hits: Dict[str, int] = {}
 
-    for category, keywords in CATEGORIES.items():
-        hits = sum(text_lower.count(kw.lower()) for kw in keywords)
+    for category, keywords in _CATEGORY_KEYWORDS:
+        hits = sum(text_lower.count(kw) for kw in keywords)
         if hits == 0:
             continue
         density = min(hits / (word_count / 1000.0), 1.0)

@@ -66,6 +66,213 @@ def test_extract_arbitrary_bytes_no_crash(text):
     assert isinstance(a[0], str) and isinstance(a[1], str)
 
 
+# ── Extraction fast paths vs the stdlib (differential) ──────────────────────
+#
+# extract._scan and extract._resolve_href must reproduce the INSTALLED
+# html.parser / urllib exactly; a CPython release that changes either
+# shows up here as a failing example.
+
+ONION = "a" * 56 + ".onion"
+
+
+def _start_tags(seps, names, attr_names, around_eq, values, closes):
+    attrs = st.builds(
+        lambda name, pre, eq, post, value: (
+            name + (pre + "=" + post + value if eq else "")),
+        name=st.sampled_from(attr_names),
+        pre=st.sampled_from(around_eq),
+        eq=st.booleans(),
+        post=st.sampled_from(around_eq),
+        value=st.sampled_from(values),
+    )
+    return st.builds(
+        lambda name, attrs, seps, close: (
+            "<" + name + "".join(s + a for s, a in zip(seps, attrs))
+            + seps[-1] + close),
+        name=st.sampled_from(names),
+        attrs=st.lists(attrs, max_size=3),
+        seps=st.lists(st.sampled_from(seps), min_size=4, max_size=4),
+        close=st.sampled_from(closes),
+    )
+
+
+# inside the tokenizer's subset: [\t\n\r\f ] separators, upper-case
+# names, quoted/unquoted/empty/valueless attributes, charrefs in values
+_TAG_NAMES = ["a", "A", "p", "DIV", "title", "TITLE", "script", "SCRIPT",
+              "style", "Style", "head", "body", "noscript", "br", "meta",
+              "h1"]
+_ATTR_NAMES = ["href", "HREF", "class", "data-x", "x:y", "id", "_u", "a.b"]
+_VALUES = ['"/a"', "'/b'", "/c", '""', "''", "x&amp;y", "&amp", "&#x41",
+           '"a>b"', "'&amp;'", "/d/", f'"http://{ONION}/p"', "x/",
+           '"&#65;&lt"', "\"a'b\"", '"\xe9\n"', "\xe9"]
+_CLEAN_TAGS = _start_tags(
+    [" ", "\t", "\n", "\r", "\x0c", "  ", " \n "], _TAG_NAMES, _ATTR_NAMES,
+    ["", "", " ", "\t\n"], _VALUES, [">", ">", "/>", " />", "\x0c>"])
+_CLEAN_PIECES = [
+    "hello", " world ", "\n\n\n\n", "&amp;", "&amp", "&#x41", "&#65;", "&",
+    "a&b", "&lt;x", "\u3000", "\xa0", "\x00", "\xe9", "\r\n", "</a>", "</A>",
+    "</p>", "</title>", "</script>", "</script >", "</SCRIPT>",
+    "</ScRiPt\n>", "</style>", "</head>", "<!-- c -->", "<!-- -- >",
+    "<!-- --!> -->", "<!--->", "<!-->", "<!---->", "<!DOCTYPE html>",
+    "<!doctype x>", "<script>", "<style>", "<title>", "<head>", "<body>",
+    f'<a href="http://{ONION}/x">', '<a href="/rel/p">',
+    '<a href="HTTP://' + ONION.upper() + '/u/">',
+]
+# outside it: \x0b/NUL/Unicode spaces in tags, '=' and quote in names,
+# CDATA, PIs, bogus comments, stray '<', unterminated constructs
+_ADVERSARIAL_TAGS = _start_tags(
+    ["", " ", "\t", "\n", "\x0c", "\x0b", "\x00", "\u3000", "\xa0", "/"],
+    _TAG_NAMES + ["my-el", "x\xe9"], _ATTR_NAMES + ["=", "'q", "a\xe9"],
+    ["", " ", "\x0b", "\xa0", "="], _VALUES + ["v=w", 'u"v', "`"],
+    [">", "/>", " />", "", "/"])
+_BAD_PIECES = [
+    "</ a>", "</>", "</a x>", "<!--", "<!DOCTYPE", "<![CDATA[x]]>",
+    "<?xml?>", "<?pi", "<!bogus>", "<", "< p", "<3", "<a",
+]
+HTML_DOCS = st.one_of(
+    st.lists(st.one_of(st.sampled_from(_CLEAN_PIECES), _CLEAN_TAGS),
+             max_size=25).map("".join),
+    st.lists(st.one_of(st.sampled_from(_CLEAN_PIECES + _BAD_PIECES),
+                       _ADVERSARIAL_TAGS), max_size=25).map("".join),
+)
+# pieces the strict-subset tokenizer takes
+_SUBSET_PIECES = st.sampled_from([
+    "hello", " x ", "\n", "&amp;", "&#65; y", "<p>", "</p>", "<br/>",
+    "<title>", "</title>", "<head>", "</head>", "<body>", "<!-- c -->",
+    "<!DOCTYPE html>", "<script>a<b</script >", "<STYLE x=1>p{}</style>",
+    f'<a href="http://{ONION}/x" class=c>', "<a href='/r/s'>", "</a>",
+    "<noscript>", "</noscript>", "<meta charset=utf-8>", "<img src=/i/>",
+])
+# out of the subset whatever follows them
+_TAILS = st.sampled_from([
+    "< x", "<?pi?>", "<![CDATA[x]]>", "<!x>", "<a href=", "</ a>",
+    "<p\x0bclass=x>", "<a\xa0href=x>",
+])
+
+
+def _events(html):
+    """html.parser's starttag/startendtag/endtag/data events."""
+    from html.parser import HTMLParser
+
+    from deepwebharvester_ray import extract
+
+    class Recorder(HTMLParser):
+        def __init__(self):
+            super().__init__(convert_charrefs=True)
+            self.events = []
+
+        def handle_starttag(self, tag, attrs):
+            self.events.append((extract._START, tag, attrs))
+
+        def handle_startendtag(self, tag, attrs):
+            self.events.append((extract._STARTEND, tag, attrs))
+
+        def handle_endtag(self, tag):
+            self.events.append((extract._END, tag))
+
+        def handle_data(self, data):
+            self.events.append((extract._DATA, data))
+
+    r = Recorder()
+    r.feed(html)
+    r.close()
+    return r.events
+
+
+_PAGE_URLS = st.sampled_from([f"http://{ONION}/d/1", f"https://{ONION}/",
+                              f"http://{ONION.upper()}", "http://x.onion/"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(HTML_DOCS, _PAGE_URLS)
+def test_scan_matches_stdlib_parser(html, url):
+    """On adversarial markup the tokenizer returns the stdlib's event
+    sequence or falls back, and extraction equals the all-stdlib path."""
+    from deepwebharvester_ray import extract
+
+    events = extract._scan(html)
+    if events is not None:
+        assert events == _events(html)
+    assert extract_content(html, url) == extract._extract_stdlib(html, url)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_SUBSET_PIECES, max_size=20).map("".join), _TAILS,
+       st.lists(st.sampled_from(_CLEAN_PIECES + _BAD_PIECES),
+                max_size=5).map("".join))
+def test_scan_subset_prefix_then_fallback(prefix, tail, rest):
+    """A document inside the subset is taken by the tokenizer; the same
+    document with an out-of-subset tail falls back as a whole (no partly
+    fed parser) and still gives the stdlib's output."""
+    from deepwebharvester_ray import extract
+
+    url = f"http://{ONION}/d/2"
+    assert extract._scan(prefix + "<br>") == _events(prefix + "<br>")
+    # tails out of the subset wherever they stand, then ones out of it
+    # only at the end of the document
+    ends = ("a final &amp", "<script>never closed", "<!-- open", "<")
+    for html in [prefix + tail + rest] + [prefix + end for end in ends]:
+        assert extract._scan(html) is None
+        assert (extract_content(html, url)
+                == extract._extract_stdlib(html, url))
+
+
+def _urls(schemes, hosts, paths, queries=("",), frags=("",),
+          leads=("",), trails=("",)):
+    return st.builds(
+        lambda lead, scheme, host, segs, query, frag, trail: (
+            lead + scheme + (host if scheme.endswith("//") else "")
+            + "".join("/" + s for s in segs) + query + frag + trail),
+        lead=st.sampled_from(leads), scheme=st.sampled_from(schemes),
+        host=st.sampled_from(hosts),
+        segs=st.lists(st.sampled_from(paths), max_size=4),
+        query=st.sampled_from(queries), frag=st.sampled_from(frags),
+        trail=st.sampled_from(trails))
+
+
+_HOSTS = [ONION, ONION.upper(), "example.com"]
+_BAD_HOSTS = ["user@" + ONION, "u:p@" + ONION, ONION + ":8080", "[::1]",
+              "[::1]:80", "[::1", "[x", "b\xfccher.onion", ONION + "\t"]
+_SEGS = ["a", "", "i.html", "~", "a:b", "@", "d-1"]
+_BAD_SEGS = [".", "..", ".h", "b;p", "%2f", "%41", "x y", "\x01", "\xe9",
+             "a\\b"]
+# bases and hrefs the fast path takes (mixed-case schemes, //, fragments,
+# trailing whitespace) and ones it must leave to urljoin
+_BASES = st.one_of(
+    _urls(["http://", "https://", "HTTP://"], _HOSTS, _SEGS + _BAD_SEGS,
+          ["", "?q=1"], ["", "#f"]),
+    _urls(["http://", "Https://", "ftp://", "//", "x:"], _HOSTS + _BAD_HOSTS,
+          _SEGS + _BAD_SEGS + [";p"], ["", "?a=&b=1"], ["", "#f"],
+          ["", " "]),
+)
+_HREFS = st.one_of(
+    _urls(["", "", "http://", "https://", "HTTP://", "hTtPs://"], _HOSTS,
+          _SEGS, frags=["", "#frag", "#", "#a b", "#x/../y"],
+          trails=["", " ", "\n"]),
+    _urls(["", "//", "http://", "https://", "HTTP://", "ftp://",
+           "javascript:", "mailto:", "#", ".", "..", "x"],
+          _HOSTS + _BAD_HOSTS, _SEGS + _BAD_SEGS,
+          ["", "?a=&b=1", "?", "?b=2&a=1"], ["", "#frag", "#a b"],
+          ["", " ", "\t", "\x01"], ["", " ", "\n", "\u3000"]),
+)
+
+
+def _outcome(fn, base, href):
+    try:
+        return fn(base, href)
+    except ValueError as exc:       # urlsplit on a bad IPv6 netloc
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_BASES, _HREFS)
+def test_resolve_href_matches_urljoin_chain(base, href):
+    from deepwebharvester_ray import extract
+
+    assert (_outcome(extract._resolve_href, base, href)
+            == _outcome(extract._join_href, base, href))
+
+
 @settings(max_examples=100, deadline=None)
 @given(TEXTS, TEXTS)
 def test_jaccard_bounds_and_symmetry(t1, t2):

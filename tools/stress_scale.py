@@ -17,6 +17,12 @@ process so ru_maxrss is a clean per-run peak).
   python tools/stress_scale.py highcard --n 10000000
       → 10^7-distinct-key grouped_agg exercises the native final merge
         (functions/agg.py SINGLE_BLOCK_CUTOFF switch) without OOM
+  python tools/stress_scale.py extract --corpus DIR [--n N]
+      → extract_content over the first N pages of a (url, html) parquet
+        corpus, no Ray: pages/s on the fast paths and on the all-stdlib
+        reference, the share of pages the tokenizer takes and of hrefs
+        the resolver's fast path takes, and whether every output equals
+        the reference's
 """
 from __future__ import annotations
 
@@ -1259,6 +1265,59 @@ def run_sdedup(n: int, distinct: int) -> dict:
     }
 
 
+def run_extract(corpus_dir: str, n: int) -> dict:
+    import statistics
+
+    import pyarrow.parquet as pq
+
+    from deepwebharvester_ray import extract
+
+    pages = [(r["url"], r["html"].decode("utf-8", errors="replace"))
+             for f in sorted(Path(corpus_dir).rglob("*.parquet"))
+             for r in pq.read_table(f, columns=["url", "html"]).to_pylist()
+             ][:n]
+    all_equal = all(extract.extract_content(h, u)
+                    == extract._extract_stdlib(h, u) for u, h in pages)
+
+    def pages_per_s(fn) -> float:
+        walls = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            for u, h in pages:
+                fn(h, u)
+            walls.append(time.perf_counter() - t0)
+        return round(len(pages) / statistics.median(walls), 1)
+
+    # hrefs that reach the urljoin chain from _resolve_href missed its
+    # fast path (skipped '#'/javascript:/mailto: hrefs included)
+    joined = 0
+    join_href = extract._join_href
+
+    def counting_join(base_url: str, href: str):
+        nonlocal joined
+        joined += 1
+        return join_href(base_url, href)
+
+    hrefs = [(u, extract._parse(h).hrefs) for u, h in pages]
+    extract._join_href = counting_join
+    try:
+        for u, hs in hrefs:
+            extract.extract_links(u, hs)
+    finally:
+        extract._join_href = join_href
+    n_hrefs = sum(len(hs) for _, hs in hrefs)
+    taken = sum(extract._scan(h) is not None for _, h in pages)
+    return {
+        "case": "extract", "corpus": corpus_dir, "pages": len(pages),
+        "hrefs": n_hrefs,
+        "fast_pages_per_s": pages_per_s(extract.extract_content),
+        "stdlib_pages_per_s": pages_per_s(extract._extract_stdlib),
+        "tokenizer_share": round(taken / max(len(pages), 1), 4),
+        "resolver_fast_share": round(1 - joined / max(n_hrefs, 1), 4),
+        "all_equal": all_equal,
+    }
+
+
 def main() -> None:
     p = argparse.ArgumentParser()
     p.add_argument("case", choices=["seen",
@@ -1270,7 +1329,7 @@ def main() -> None:
                                     "skyline", "cosine", "gscan",
                                     "sdedup", "aa", "spans",
                                     "xsubstr", "incdedup", "resolve",
-                                    "embedlsh"])
+                                    "embedlsh", "extract"])
     p.add_argument("--dup", type=int, default=1)
     p.add_argument("--seeds", type=int, default=10_000)
     p.add_argument("--shards", type=int, default=None)
@@ -1286,6 +1345,7 @@ def main() -> None:
     p.add_argument("--plain", action="store_true",
                    help="skewjoin: use the plain native hash join")
     p.add_argument("--sf", default="/root/testdata/sf0.01")
+    p.add_argument("--corpus", help="extract: a (url, html) parquet corpus")
     p.add_argument("--cpus", type=int, default=16)
     p.add_argument("--nodes", type=int, default=0,
                    help="simulated multi-node cluster (ray.cluster_utils): "
@@ -1294,6 +1354,11 @@ def main() -> None:
                    "(loopback network) - the bench.py --scaling-nodes "
                    "idiom for shuffle-heavy operators")
     args = p.parse_args()
+    if args.case == "extract":
+        if not args.corpus:
+            p.error("extract needs --corpus DIR")
+        print(json.dumps(run_extract(args.corpus, args.n)))
+        return
 
     import ray
 
